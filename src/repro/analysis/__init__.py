@@ -3,12 +3,10 @@
 from repro.analysis.anonymize import anonymize_assoc, anonymize_label, anonymize_matrix
 from repro.analysis.stats import ScalingFit, scaling_relation, synthetic_traffic
 from repro.analysis.streaming import (
-    MergedWindowView,
     StreamAccumulator,
     WindowStats,
     merge_windows,
     scenario_stream,
-    window_digest,
     window_stream,
 )
 
@@ -21,8 +19,6 @@ __all__ = [
     "window_stream",
     "scenario_stream",
     "merge_windows",
-    "window_digest",
-    "MergedWindowView",
     "ScalingFit",
     "scaling_relation",
     "synthetic_traffic",

@@ -10,7 +10,6 @@ statistics the scaling-relations paper (ref [50]) tracks per window.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -28,8 +27,6 @@ __all__ = [
     "window_stream",
     "scenario_stream",
     "merge_windows",
-    "window_digest",
-    "MergedWindowView",
 ]
 
 
@@ -181,7 +178,7 @@ def scenario_stream(
 
 def _reindex_task(args: tuple[AssociativeArray, tuple[str, ...], tuple[str, ...]]):
     array, r_axis, c_axis = args
-    return array.reindex(r_axis, c_axis).csr
+    return array._embed(r_axis, c_axis).csr
 
 
 def merge_windows(arrays: Iterable[AssociativeArray]) -> AssociativeArray:
@@ -211,123 +208,4 @@ def merge_windows(arrays: Iterable[AssociativeArray]) -> AssociativeArray:
     )
     total = Mat.from_csr(reindexed[0])
     total(accum=PLUS) << union_all(reindexed[1:])
-    return AssociativeArray(r_axis, c_axis, total.csr)
-
-
-def window_digest(array: AssociativeArray) -> str:
-    """Content address of one window matrix (labels + CSR bytes, SHA-256).
-
-    The same digest scheme the scenario store uses for specs, applied to
-    window matrices: equal windows get equal keys, so a window replayed into
-    a :class:`MergedWindowView` dedupes instead of double-counting.
-    """
-    csr = array.csr
-    h = hashlib.sha256()
-    h.update("\x1f".join(array.row_labels).encode("utf-8"))
-    h.update(b"\x1e")
-    h.update("\x1f".join(array.col_labels).encode("utf-8"))
-    h.update(b"\x1e")
-    h.update(np.ascontiguousarray(csr.indptr).tobytes())
-    h.update(np.ascontiguousarray(csr.indices).tobytes())
-    h.update(np.ascontiguousarray(np.asarray(csr.data)).tobytes())
-    return h.hexdigest()
-
-
-class MergedWindowView:
-    """An incrementally materialized :func:`merge_windows` over live windows.
-
-    The streaming pipeline yields windows one at a time; recomputing the
-    whole-capture aggregate from scratch after each is ``O(total nnz)`` per
-    window.  This view keeps the aggregate *materialized* and folds each new
-    window in incrementally — sound because window merging is key-aligned
-    **addition**, and addition over ``int64`` is associative and commutative,
-    so ``merge(merged, w)`` is bit-identical to ``merge(w₁ … wₙ, w)``.
-
-    **Invalidation rule.**  Additions refine the materialized aggregate in
-    place; *removals invalidate it*.  Subtraction is not the inverse of this
-    merge (a removed window's labels may vanish from the union axes, which
-    no subtraction can shrink), so :meth:`remove` marks the view dirty and
-    the next :meth:`merged` call recomputes from the retained windows — the
-    classic incremental-view trade: cheap monotone updates, full rebuild on
-    retraction.
-
-    Windows are keyed by :func:`window_digest`, so re-adding an identical
-    window is a no-op rather than a double count.
-    """
-
-    def __init__(self) -> None:
-        self._windows: dict[str, AssociativeArray] = {}
-        self._merged: AssociativeArray | None = None
-        self._dirty = False
-        self._recomputes = 0
-        self._incremental_merges = 0
-
-    def __len__(self) -> int:
-        return len(self._windows)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._windows
-
-    def keys(self) -> list[str]:
-        """Window digests in insertion order."""
-        return list(self._windows)
-
-    def add(self, array: AssociativeArray) -> str:
-        """Fold one window into the view; returns its digest key.
-
-        A window already present (same digest ⇒ same content) is skipped —
-        the aggregate must count each distinct window exactly once.
-        """
-        key = window_digest(array)
-        if key in self._windows:
-            return key
-        self._windows[key] = array
-        if self._dirty or self._merged is None:
-            # The materialization is stale (or never built); don't refine a
-            # value we're about to throw away.
-            self._dirty = True
-        else:
-            self._merged = merge_windows([self._merged, array])
-            self._incremental_merges += 1
-        return key
-
-    def remove(self, key: str) -> bool:
-        """Retract one window by digest; returns whether it was present.
-
-        Retraction invalidates the materialization (see the class docstring
-        for why); the rebuild is deferred to the next :meth:`merged` call so
-        a burst of removals pays for one recompute, not one each.
-        """
-        if self._windows.pop(key, None) is None:
-            return False
-        self._dirty = True
-        self._merged = None
-        return True
-
-    def merged(self) -> AssociativeArray:
-        """The current aggregate — served from the materialization when clean.
-
-        Bit-identical to ``merge_windows(view.windows())`` by construction;
-        the view's tests assert it rather than assume it.
-        """
-        if self._dirty or self._merged is None:
-            if self._windows:
-                self._merged = merge_windows(list(self._windows.values()))
-                self._recomputes += 1
-            else:
-                self._merged = AssociativeArray.empty()
-            self._dirty = False
-        return self._merged
-
-    def windows(self) -> list[AssociativeArray]:
-        """The retained windows, in insertion order."""
-        return list(self._windows.values())
-
-    def stats(self) -> dict[str, int | bool]:
-        """Materialization accounting: how often the fast path actually won."""
-        return {
-            "windows": len(self._windows),
-            "dirty": self._dirty,
-            "incremental_merges": self._incremental_merges,
-            "recomputes": self._recomputes,
-        }
+    return AssociativeArray(r_axis, c_axis, total.csr, _trusted=True)

@@ -12,6 +12,8 @@ bookkeeping — the property that makes streaming traffic-matrix accumulation
 
 from __future__ import annotations
 
+import bisect
+import operator
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,10 +26,11 @@ __all__ = ["AssociativeArray"]
 
 
 def _as_labels(keys: Iterable[str]) -> tuple[str, ...]:
-    labels = tuple(str(k) for k in keys)
-    if any(not k for k in labels):
+    """Validate one label axis where it enters: non-empty strings, strictly increasing."""
+    labels = tuple(map(str, keys))
+    if "" in labels:
         raise AssocArrayError("associative-array keys may not be empty strings")
-    if list(labels) != sorted(set(labels)):
+    if not all(map(operator.lt, labels, labels[1:])):
         raise AssocArrayError("label axes must be sorted and duplicate-free")
     return labels
 
@@ -38,12 +41,28 @@ def _union_labels(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sorted(set(a) | set(b)))
 
 
+def _find(labels: tuple[str, ...], key: object) -> int:
+    """Position of *key* on the sorted *labels* axis, or -1 when it is absent."""
+    if isinstance(key, str):
+        i = bisect.bisect_left(labels, key)
+        if i < len(labels) and labels[i] == key:
+            return i
+    return -1
+
+
 def _remap(labels: tuple[str, ...], target: tuple[str, ...]) -> np.ndarray:
-    """Index of each of *labels* inside the (sorted) *target* axis."""
+    """Index of each of *labels* inside the (sorted) *target* axis.
+
+    Raises when a label is missing from *target*, so the lookup itself is
+    the superset check of :meth:`AssociativeArray.reindex`.
+    """
     if labels == target:
         return np.arange(len(labels), dtype=np.int64)
-    tgt = np.asarray(target)
-    return np.searchsorted(tgt, np.asarray(labels)).astype(np.int64)
+    position = dict(zip(target, range(len(target))))
+    try:
+        return np.fromiter(map(position.__getitem__, labels), dtype=np.int64, count=len(labels))
+    except KeyError:
+        raise AssocArrayError("reindex axes must be supersets of the current axes") from None
 
 
 class AssociativeArray:
@@ -52,6 +71,10 @@ class AssociativeArray:
     Construction normalises keys to sorted order; all arithmetic aligns
     operands by key union, mirroring D4M semantics.  The underlying storage is
     a canonical :class:`~repro.assoc.sparse.CSRMatrix`.
+
+    Label axes are validated where they enter — the constructors,
+    :meth:`from_triples` and the axes passed to :meth:`reindex`.  Arrays
+    derived from validated ones (``_trusted=True``) reuse their axes as is.
     """
 
     __slots__ = ("row_labels", "col_labels", "csr")
@@ -61,9 +84,15 @@ class AssociativeArray:
         row_labels: Sequence[str],
         col_labels: Sequence[str],
         csr: CSRMatrix,
+        *,
+        _trusted: bool = False,
     ) -> None:
-        self.row_labels = _as_labels(row_labels)
-        self.col_labels = _as_labels(col_labels)
+        if _trusted:
+            self.row_labels = tuple(row_labels)
+            self.col_labels = tuple(col_labels)
+        else:
+            self.row_labels = _as_labels(row_labels)
+            self.col_labels = _as_labels(col_labels)
         if csr.shape != (len(self.row_labels), len(self.col_labels)):
             raise AssocArrayError(
                 f"storage shape {csr.shape} does not match label axes "
@@ -178,14 +207,14 @@ class AssociativeArray:
         return self.extract(rk, ck)
 
     def _row_index(self, key: str) -> int:
-        i = int(np.searchsorted(np.asarray(self.row_labels), key))
-        if i >= len(self.row_labels) or self.row_labels[i] != key:
+        i = _find(self.row_labels, key)
+        if i < 0:
             raise AssocArrayError(f"unknown row key {key!r}")
         return i
 
     def _col_index(self, key: str) -> int:
-        j = int(np.searchsorted(np.asarray(self.col_labels), key))
-        if j >= len(self.col_labels) or self.col_labels[j] != key:
+        j = _find(self.col_labels, key)
+        if j < 0:
             raise AssocArrayError(f"unknown column key {key!r}")
         return j
 
@@ -215,7 +244,7 @@ class AssociativeArray:
         c_keys = sorted(set(self._resolve_axis(cols, self.col_labels)))
         r_idx = np.asarray([self._row_index(k) for k in r_keys], dtype=np.int64)
         c_idx = np.asarray([self._col_index(k) for k in c_keys], dtype=np.int64)
-        return AssociativeArray(tuple(r_keys), tuple(c_keys), self.csr.extract(r_idx, c_idx))
+        return AssociativeArray(r_keys, c_keys, self.csr.extract(r_idx, c_idx), _trusted=True)
 
     # ------------------------------------------------------------------ #
     # alignment and algebra
@@ -225,22 +254,22 @@ class AssociativeArray:
         self, row_labels: Sequence[str], col_labels: Sequence[str]
     ) -> "AssociativeArray":
         """Embed this array into larger (sorted) label axes."""
-        r_axis = _as_labels(row_labels)
-        c_axis = _as_labels(col_labels)
-        if not (set(self.row_labels) <= set(r_axis) and set(self.col_labels) <= set(c_axis)):
-            raise AssocArrayError("reindex axes must be supersets of the current axes")
-        r, c, v = self.csr.triples()
+        return self._embed(_as_labels(row_labels), _as_labels(col_labels))
+
+    def _embed(self, r_axis: tuple[str, ...], c_axis: tuple[str, ...]) -> "AssociativeArray":
+        """:meth:`reindex` onto axes that are already validated."""
         r_map = _remap(self.row_labels, r_axis)
         c_map = _remap(self.col_labels, c_axis)
+        r, c, v = self.csr.triples()
         csr = CSRMatrix.from_triples(
             r_map[r], c_map[c], v, (len(r_axis), len(c_axis))
         )
-        return AssociativeArray(r_axis, c_axis, csr)
+        return AssociativeArray(r_axis, c_axis, csr, _trusted=True)
 
     def _aligned(self, other: "AssociativeArray") -> tuple["AssociativeArray", "AssociativeArray"]:
         r_axis = _union_labels(self.row_labels, other.row_labels)
         c_axis = _union_labels(self.col_labels, other.col_labels)
-        return self.reindex(r_axis, c_axis), other.reindex(r_axis, c_axis)
+        return self._embed(r_axis, c_axis), other._embed(r_axis, c_axis)
 
     def _mask_csr(
         self,
@@ -258,7 +287,7 @@ class AssociativeArray:
         from repro.assoc import expr
 
         if isinstance(mask, AssociativeArray):
-            return mask.reindex(row_labels, col_labels).csr
+            return mask._embed(row_labels, col_labels).csr
         pattern = expr.as_mask(mask).pattern
         if pattern.shape != (len(row_labels), len(col_labels)):
             raise AssocArrayError(
@@ -291,7 +320,7 @@ class AssociativeArray:
             csr = expr.lazy(a.csr).ewise(b.csr, add, how="union").new(
                 mask=m, complement=complement
             )
-        return AssociativeArray(a.row_labels, a.col_labels, csr)
+        return AssociativeArray(a.row_labels, a.col_labels, csr, _trusted=True)
 
     def ewise_mult(
         self,
@@ -314,7 +343,7 @@ class AssociativeArray:
             csr = expr.lazy(a.csr).ewise(b.csr, mult, how="intersect").new(
                 mask=m, complement=complement
             )
-        return AssociativeArray(a.row_labels, a.col_labels, csr)
+        return AssociativeArray(a.row_labels, a.col_labels, csr, _trusted=True)
 
     def select(self, mask: object, *, complement: bool = False) -> "AssociativeArray":
         """Entries at coordinates the structural *mask* allows (``A⟨M⟩``)."""
@@ -322,7 +351,7 @@ class AssociativeArray:
 
         m = self._mask_csr(mask, self.row_labels, self.col_labels)
         return AssociativeArray(
-            self.row_labels, self.col_labels, masked_select(self.csr, m, complement)
+            self.row_labels, self.col_labels, masked_select(self.csr, m, complement), _trusted=True
         )
 
     def __add__(self, other: "AssociativeArray") -> "AssociativeArray":
@@ -344,6 +373,7 @@ class AssociativeArray:
                     self.csr.data * other,
                     _trusted=True,
                 ),
+                _trusted=True,
             )
         return NotImplemented
 
@@ -363,8 +393,8 @@ class AssociativeArray:
         kernel — rows of the output the mask excludes are never expanded.
         """
         inner = _union_labels(self.col_labels, other.row_labels)
-        a = self.reindex(self.row_labels, inner)
-        b = other.reindex(inner, other.col_labels)
+        a = self._embed(self.row_labels, inner)
+        b = other._embed(inner, other.col_labels)
         if mask is None:
             csr = a.csr.mxm(b.csr, semiring)
         else:
@@ -372,7 +402,7 @@ class AssociativeArray:
 
             m = self._mask_csr(mask, self.row_labels, other.col_labels)
             csr = expr.lazy(a.csr).mxm(b.csr, semiring).new(mask=m, complement=complement)
-        return AssociativeArray(self.row_labels, other.col_labels, csr)
+        return AssociativeArray(self.row_labels, other.col_labels, csr, _trusted=True)
 
     def __matmul__(self, other: "AssociativeArray") -> "AssociativeArray":
         if not isinstance(other, AssociativeArray):
@@ -380,7 +410,7 @@ class AssociativeArray:
         return self.mxm(other)
 
     def transpose(self) -> "AssociativeArray":
-        return AssociativeArray(self.col_labels, self.row_labels, self.csr.transpose())
+        return AssociativeArray(self.col_labels, self.row_labels, self.csr.transpose(), _trusted=True)
 
     @property
     def T(self) -> "AssociativeArray":
@@ -418,6 +448,7 @@ class AssociativeArray:
             self.row_labels,
             self.col_labels,
             CSRMatrix(self.shape, self.csr.indptr.copy(), self.csr.indices.copy(), data, _trusted=True),
+            _trusted=True,
         )
 
     def relabel(

@@ -7,7 +7,7 @@ introspected schemas (:func:`make_corpus`), runs each through a battery of
 independent-path oracles (:func:`default_oracles`), and reports — shrinking
 and persisting any failure as a replayable JSON repro file.
 
-The eight standard oracles:
+The nine standard oracles:
 
 * :class:`KernelEqualityOracle` — serial vs row-blocked semiring kernels on
   corpus-derived CSR matrices, bit for bit (plus a dense reference for
@@ -31,7 +31,9 @@ The eight standard oracles:
   raw-constructed ill-shaped product;
 * :class:`StoreRoundTripOracle` — the durable :mod:`repro.store` round trip
   (put, reopen, get) is bit-identical to the direct build, upserts are
-  idempotent, and a corrupted blob raises instead of serving bad bytes.
+  idempotent, and a corrupted blob raises instead of serving bad bytes;
+* :class:`StreamPartitionOracle` — merging streaming windows part by part
+  equals merging them all at once: the same label axes, a bit-identical CSR.
 
 Quickstart::
 
@@ -59,6 +61,7 @@ from repro.verify.oracles import (
     RoundTripOracle,
     StaticShapesOracle,
     StoreRoundTripOracle,
+    StreamPartitionOracle,
     default_oracles,
 )
 from repro.verify.runner import (
@@ -88,6 +91,7 @@ __all__ = [
     "CacheDeltaOracle",
     "StaticShapesOracle",
     "StoreRoundTripOracle",
+    "StreamPartitionOracle",
     "CLASSIFIER_AMBIGUITIES",
     "default_oracles",
     "SpecResult",

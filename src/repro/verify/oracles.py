@@ -57,6 +57,7 @@ __all__ = [
     "CacheDeltaOracle",
     "StaticShapesOracle",
     "StoreRoundTripOracle",
+    "StreamPartitionOracle",
     "default_oracles",
 ]
 
@@ -752,8 +753,65 @@ class StoreRoundTripOracle:
             shutil.rmtree(root, ignore_errors=True)
 
 
+# --------------------------------------------------------------------------- #
+# 8. streaming merges are partition-invariant
+# --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class StreamPartitionOracle:
+    """Merging windows part by part equals merging them all at once.
+
+    The spec's non-empty cells are replayed as ``(src, dst, packets)`` events
+    through :func:`~repro.analysis.window_stream` in about ``WINDOWS``
+    windows.  A seeded random partition of those windows is merged part by
+    part with :func:`~repro.analysis.merge_windows`, and the part merges are
+    merged again.  The result must equal ``merge_windows`` of all windows:
+    the same label axes and a bit-identical CSR.  Both must conserve the
+    spec's packets and carry axes that pass the entry validation, which
+    guards the merge path that builds its result from trusted axes.
+    """
+
+    WINDOWS = 6
+
+    name = "stream_partition"
+
+    def check(self, spec: ScenarioSpec) -> OracleVerdict:
+        from repro.analysis.streaming import merge_windows, window_stream
+        from repro.assoc.array import _as_labels
+        from repro.errors import AssocArrayError
+
+        matrix = spec.build()
+        events = list(matrix.iter_edges())
+        window_size = max(1, -(-len(events) // self.WINDOWS))
+        windows = [a for a, _ in window_stream(events, window_size=window_size)]
+        if len(windows) < 2:
+            return _skipped(self.name, f"{len(windows)} window(s): nothing to partition")
+        rng = np.random.default_rng(spec.seed)
+        n_parts = int(rng.integers(2, len(windows) + 1))
+        owner = rng.integers(0, n_parts, size=len(windows))
+        parts = [[w for w, o in zip(windows, owner) if o == p] for p in range(n_parts)]
+        whole = merge_windows(windows)
+        staged = merge_windows([merge_windows(part) for part in parts if part])
+        if (staged.row_labels, staged.col_labels) != (whole.row_labels, whole.col_labels):
+            return _failed(self.name, "partitioned merge has different label axes")
+        if not _csr_identical(staged.csr, whole.csr):
+            return _failed(self.name, "partitioned merge != whole merge")
+        for axis in (whole.row_labels, whole.col_labels):
+            try:
+                _as_labels(axis)
+            except AssocArrayError as exc:
+                return _failed(self.name, f"merged axis fails validation: {exc}")
+        if int(whole.sum()) != matrix.total_packets():
+            return _failed(self.name, "merge does not conserve the spec's packets")
+        return _passed(
+            self.name,
+            f"{len(windows)} windows in {len({int(o) for o in owner})} parts merge identically",
+        )
+
+
 def default_oracles() -> tuple[Oracle, ...]:
-    """The standard battery: all eight differential oracles, default settings."""
+    """The standard battery: all nine differential oracles, default settings."""
     return (
         KernelEqualityOracle(),
         MaskedEqualityOracle(),
@@ -763,4 +821,5 @@ def default_oracles() -> tuple[Oracle, ...]:
         CacheDeltaOracle(),
         StaticShapesOracle(),
         StoreRoundTripOracle(),
+        StreamPartitionOracle(),
     )

@@ -172,11 +172,25 @@ class TestScenarioStream:
 
         assert asyncio.run(main()) == plain
 
+    def test_stream_over_store_is_bit_identical(self, tmp_path):
+        """Streaming via the durable store matches a storeless stream exactly."""
+        from repro.store import ScenarioStore
+
+        specs = [ScenarioSpec(base="ring", params={}, n=10, seed=s) for s in range(3)]
+        plain = [a for a, _ in scenario_stream(specs, window_size=16)]
+        with ScenarioStore(tmp_path / "store", fsync=False) as store:
+            first = [a for a, _ in scenario_stream(specs, window_size=16, service=store)]
+            assert store.index.count() == len(specs)
+        # a fresh store instance replays the same stream from disk
+        with ScenarioStore(tmp_path / "store", fsync=False) as store:
+            replay = [a for a, _ in scenario_stream(specs, window_size=16, service=store)]
+        assert first == plain == replay
+
     def test_stream_rejects_non_service_objects(self):
         from repro.errors import ScenarioError
 
         with pytest.raises(
-            ScenarioError, match="ScenarioService, ScenarioCache, or"
+            ScenarioError, match="ScenarioService, ScenarioCache, or ScenarioStore"
         ):
             list(scenario_stream([ScenarioSpec(base="ring")], service=object()))
 

@@ -19,6 +19,7 @@ from repro.verify import (
     OverlayMetamorphicOracle,
     RoundTripOracle,
     StaticShapesOracle,
+    StreamPartitionOracle,
     default_oracles,
     make_corpus,
     run_corpus,
@@ -239,8 +240,51 @@ class TestStaticShapesOracle:
         assert not report.ok
 
 
+class TestStreamPartitionOracle:
+    def test_passes_on_corpus_specs(self):
+        oracle = StreamPartitionOracle()
+        for spec in make_corpus(20, seed=41):
+            verdict = oracle.check(spec)
+            assert verdict.passed, verdict.detail
+
+    def test_empty_matrix_is_skipped(self):
+        verdict = StreamPartitionOracle().check(ScenarioSpec(base="isolated_links", n=1))
+        assert verdict.skipped
+
+    def test_injected_lossy_merge_is_caught(self, monkeypatch):
+        """A merge that drops a window must fail the oracle."""
+        from repro.analysis import streaming
+
+        true_merge = streaming.merge_windows
+
+        def lossy(arrays):
+            arrays = list(arrays)
+            return true_merge(arrays[:-1] if len(arrays) > 2 else arrays)
+
+        monkeypatch.setattr(streaming, "merge_windows", lossy)
+        verdict = StreamPartitionOracle().check(ScenarioSpec(base="clique", n=10, seed=3))
+        assert verdict.failed, verdict.detail
+
+    def test_injected_unsorted_trusted_axes_are_caught(self, monkeypatch):
+        """A trusted merge result whose axes break the axis rule must fail."""
+        from repro.analysis import streaming
+        from repro.assoc.array import AssociativeArray
+
+        true_merge = streaming.merge_windows
+
+        def reversed_axes(arrays):
+            m = true_merge(arrays)
+            return AssociativeArray(
+                m.row_labels[::-1], m.col_labels[::-1], m.csr, _trusted=True
+            )
+
+        monkeypatch.setattr(streaming, "merge_windows", reversed_axes)
+        verdict = StreamPartitionOracle().check(ScenarioSpec(base="clique", n=10, seed=3))
+        assert verdict.failed, verdict.detail
+
+
 class TestBattery:
-    def test_default_battery_has_all_eight(self):
+    def test_default_battery_has_all_nine(self):
         names = [oracle.name for oracle in default_oracles()]
         assert names == [
             "kernel_equality",
@@ -251,6 +295,7 @@ class TestBattery:
             "cache_delta",
             "static_shapes",
             "store_round_trip",
+            "stream_partition",
         ]
 
     def test_oracles_are_picklable(self):
