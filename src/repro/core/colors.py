@@ -130,12 +130,12 @@ def validate_color_grid(
     if arr.ndim != 2:
         raise ColorError(f"colour grid must be 2-D, got {arr.ndim}-D")
     allowed = EXTENDED_COLOR_CODES if extended else COLOR_CODES
-    if strict:
-        bad = ~np.isin(arr, allowed)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ColorError(
-                f"colour grid contains invalid code {int(arr[i, j])} at "
-                f"({int(i)}, {int(j)}); allowed codes are {sorted(allowed)}"
-            )
+    # the allowed codes are contiguous from 0, so a range check suffices
+    top = allowed[-1]
+    if strict and arr.size and (arr.min() < 0 or arr.max() > top):
+        i, j = np.argwhere((arr < 0) | (arr > top))[0]
+        raise ColorError(
+            f"colour grid contains invalid code {int(arr[i, j])} at "
+            f"({int(i)}, {int(j)}); allowed codes are {sorted(allowed)}"
+        )
     return arr.astype(np.int8)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,12 +53,13 @@ _SPACE_COLOR = {
 }
 
 #: Label-prefix conventions used by the paper's 6x6 and 10x10 templates.
-DEFAULT_PREFIXES: Mapping[str, NetworkSpace] = {
+#: Read-only, so maps inferred from it can be memoised (``SpaceMap.infer``).
+DEFAULT_PREFIXES: Mapping[str, NetworkSpace] = MappingProxyType({
     "WS": NetworkSpace.BLUE,
     "SRV": NetworkSpace.BLUE,
     "EXT": NetworkSpace.GREY,
     "ADV": NetworkSpace.RED,
-}
+})
 
 
 def space_of_label(label: str, prefixes: Mapping[str, NetworkSpace] = DEFAULT_PREFIXES) -> NetworkSpace:
@@ -88,6 +91,7 @@ class SpaceMap:
     labels: tuple[str, ...]
     spaces: tuple[NetworkSpace, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    _grid: np.ndarray | None = field(default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.spaces):
@@ -106,8 +110,14 @@ class SpaceMap:
         labels: Sequence[str],
         prefixes: Mapping[str, NetworkSpace] = DEFAULT_PREFIXES,
     ) -> "SpaceMap":
-        """Build a map from labels using prefix conventions (``WS* → blue`` ...)."""
+        """Build a map from labels using prefix conventions (``WS* → blue`` ...).
+
+        Maps over the default prefixes are memoised by label tuple: a
+        ``SpaceMap`` is frozen, so every matrix on one axis shares one map.
+        """
         labels = tuple(labels)
+        if cls is SpaceMap and prefixes is DEFAULT_PREFIXES:
+            return _infer_default(labels)
         return cls(labels, tuple(space_of_label(lb, prefixes) for lb in labels))
 
     def __len__(self) -> int:
@@ -145,19 +155,28 @@ class SpaceMap:
         the red→blue block blue on the lower-left — that lower-left blue block
         marks *defended* adversary→blue paths; generators that need the exact
         template colouring build it explicitly.)
+
+        The grid is computed once per map; each call returns a fresh copy.
         """
-        n = len(self)
-        is_red = np.asarray([s is NetworkSpace.RED for s in self.spaces])
-        is_blue = np.asarray([s is NetworkSpace.BLUE for s in self.spaces])
-        grid = np.zeros((n, n), dtype=np.int8)
-        grid[np.ix_(is_blue, is_blue)] = int(PalletColor.BLUE)
-        grid[is_red, :] = int(PalletColor.RED)
-        grid[:, is_red] = int(PalletColor.RED)
-        return grid
+        if self._grid is None:
+            n = len(self)
+            is_red = np.asarray([s is NetworkSpace.RED for s in self.spaces])
+            is_blue = np.asarray([s is NetworkSpace.BLUE for s in self.spaces])
+            grid = np.zeros((n, n), dtype=np.int8)
+            grid[np.ix_(is_blue, is_blue)] = int(PalletColor.BLUE)
+            grid[is_red, :] = int(PalletColor.RED)
+            grid[:, is_red] = int(PalletColor.RED)
+            object.__setattr__(self, "_grid", grid)
+        return self._grid.copy()
 
     def pair_space(self, i: int, j: int) -> tuple[NetworkSpace, NetworkSpace]:
         """(source space, destination space) of cell ``(i, j)``."""
         return self.spaces[i], self.spaces[j]
+
+
+@lru_cache(maxsize=128)
+def _infer_default(labels: tuple[str, ...]) -> SpaceMap:
+    return SpaceMap(labels, tuple(map(space_of_label, labels)))
 
 
 def spaces_from_counts(

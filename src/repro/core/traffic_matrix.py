@@ -34,6 +34,20 @@ __all__ = ["TrafficMatrix", "MAX_DISPLAY_PACKETS"]
 MAX_DISPLAY_PACKETS = 15
 
 
+def _non_negative(packets: np.ndarray) -> np.ndarray:
+    """Return *packets*, raising on the first negative count (row-major).
+
+    Arithmetic on validated matrices still runs this: an ``int64`` overflow
+    wraps to a negative count, which must not pass as traffic.
+    """
+    if packets.size and packets.min() < 0:
+        i, j = np.argwhere(packets < 0)[0]
+        raise TrafficMatrixError(
+            f"packet count at ({int(i)}, {int(j)}) is negative ({int(packets[i, j])})"
+        )
+    return packets
+
+
 class TrafficMatrix:
     """A square traffic matrix with axis labels and per-cell colour codes.
 
@@ -49,6 +63,12 @@ class TrafficMatrix:
     colors:
         Optional ``n × n`` grid of colour codes (0 grey, 1 blue, 2 red).
         Defaults to all grey — the uncoloured state pallets start in.
+
+    Packets, labels and colours are validated where they enter — this
+    constructor, :meth:`from_edges`, :meth:`from_json_fields` and
+    :meth:`with_colors`.  Matrices derived from validated ones
+    (``_trusted=True``) take an ``int64`` packet grid, canonical labels and
+    an ``int8`` colour grid that they own, as given.
     """
 
     __slots__ = ("_packets", "_labels", "_colors", "_space_map", "_extended", "_meta")
@@ -61,23 +81,26 @@ class TrafficMatrix:
         *,
         extended_colors: bool = False,
         meta: dict | None = None,
+        _trusted: bool = False,
     ) -> None:
+        self._extended = bool(extended_colors)
+        self._space_map: SpaceMap | None = None
+        self._meta: dict = dict(meta) if meta else {}
+        if _trusted:
+            self._packets = packets
+            self._labels = labels
+            self._colors = colors
+            return
         arr = np.asarray(packets)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"traffic matrix must be square 2-D, got shape {arr.shape}")
         if arr.size and not np.issubdtype(arr.dtype, np.integer):
             if not np.issubdtype(arr.dtype, np.floating) or not np.all(arr == np.floor(arr)):
                 raise TrafficMatrixError("packet counts must be integers")
-        arr = arr.astype(np.int64, copy=True)
-        if arr.size and arr.min() < 0:
-            i, j = np.argwhere(arr < 0)[0]
-            raise TrafficMatrixError(
-                f"packet count at ({int(i)}, {int(j)}) is negative ({int(arr[i, j])})"
-            )
+        arr = _non_negative(arr.astype(np.int64, copy=True))
         n = arr.shape[0]
         self._packets = arr
         self._labels = validate_labels(labels, size=n) if labels is not None else default_labels(n)
-        self._extended = bool(extended_colors)
         if colors is None:
             self._colors = np.zeros((n, n), dtype=np.int8)
         else:
@@ -87,8 +110,6 @@ class TrafficMatrix:
                     f"colour grid shape {grid.shape} does not match matrix shape {(n, n)}"
                 )
             self._colors = grid
-        self._space_map: SpaceMap | None = None
-        self._meta: dict = dict(meta) if meta else {}
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -350,10 +371,11 @@ class TrafficMatrix:
         self._check_compatible(other)
         colors, extended = TrafficMatrix.overlay_style([self, other])
         return TrafficMatrix(
-            self._packets + other._packets,
+            _non_negative(self._packets + other._packets),
             self._labels,
             colors,
             extended_colors=extended,
+            _trusted=True,
         )
 
     def __mul__(self, scalar: int) -> "TrafficMatrix":
@@ -361,13 +383,25 @@ class TrafficMatrix:
         k = int(scalar)
         if k < 0:
             raise TrafficMatrixError("packet scale factor must be non-negative")
-        return TrafficMatrix(self._packets * k, self._labels, self._colors.copy(), extended_colors=self._extended)
+        return TrafficMatrix(
+            _non_negative(self._packets * k),
+            self._labels,
+            self._colors.copy(),
+            extended_colors=self._extended,
+            _trusted=True,
+        )
 
     __rmul__ = __mul__
 
     def transpose(self) -> "TrafficMatrix":
         """Reverse every flow: the DDoS *backscatter* of an attack pattern."""
-        return TrafficMatrix(self._packets.T.copy(), self._labels, self._colors.T.copy(), extended_colors=self._extended)
+        return TrafficMatrix(
+            self._packets.T.copy(),
+            self._labels,
+            self._colors.T.copy(),
+            extended_colors=self._extended,
+            _trusted=True,
+        )
 
     @property
     def T(self) -> "TrafficMatrix":
@@ -376,12 +410,16 @@ class TrafficMatrix:
     def submatrix(self, labels: Sequence[str | int]) -> "TrafficMatrix":
         """Extract the induced sub-matrix on the given endpoints (order kept)."""
         idx = np.asarray([self._axis_index(lb) for lb in labels], dtype=np.intp)
+        picked = tuple(self._labels[i] for i in idx.tolist())
+        if len(set(picked)) != len(picked):
+            validate_labels(picked)  # raises the duplicate-label error
         sel = np.ix_(idx, idx)
         return TrafficMatrix(
-            self._packets[sel].copy(),
-            tuple(self._labels[i] for i in idx.tolist()),
-            self._colors[sel].copy(),
+            self._packets[sel],
+            picked,
+            self._colors[sel],
             extended_colors=self._extended,
+            _trusted=True,
         )
 
     def masked_where(
@@ -426,7 +464,13 @@ class TrafficMatrix:
 
     def with_space_colors(self) -> "TrafficMatrix":
         """Copy coloured by the default space convention (see ``SpaceMap.color_grid``)."""
-        return self.with_colors(self.space_map.color_grid())
+        return TrafficMatrix(
+            self._packets.copy(),
+            self._labels,
+            self.space_map.color_grid(),
+            extended_colors=self._extended,
+            _trusted=True,
+        )
 
     def copy(self) -> "TrafficMatrix":
         return TrafficMatrix(
@@ -435,6 +479,7 @@ class TrafficMatrix:
             self._colors.copy(),
             extended_colors=self._extended,
             meta=self._meta,
+            _trusted=True,
         )
 
     # ------------------------------------------------------------------ #

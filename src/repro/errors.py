@@ -94,7 +94,13 @@ class AssocArrayError(ReproError):
 class StoreError(ReproError):
     """Invalid use of the durable scenario store (:mod:`repro.store`):
     bad root directory, malformed blob framing, unsupported schema version,
-    or lock contention that outlived every retry."""
+    or lock contention that outlived every retry (:class:`StoreBusyError`)."""
+
+
+class StoreBusyError(StoreError):
+    """The store index stayed locked by another writer through every retry
+    of :class:`~repro.store.StoreIndex`; counted as
+    ``store.index.busy_failures``."""
 
 
 class StoreIntegrityError(StoreError):

@@ -1,7 +1,5 @@
 """Traffic-pattern generators, metrics, and classifiers for all paper figures."""
 
-import warnings as _warnings
-
 from repro.graphs.attack import (
     ATTACK_STAGES,
     full_attack,
@@ -31,10 +29,8 @@ from repro.graphs.ddos import (
     full_ddos,
 )
 # NOTE: the ``defense`` *function* is exported as ``defense_pattern`` — its
-# canonical name, matching the scenario registry — so the
-# ``repro.graphs.defense`` submodule stays importable by its natural name.
-# ``repro.graphs.defense`` as an *attribute* is a deprecated alias for the
-# function (see ``__getattr__`` below).
+# canonical name, matching the scenario registry — so ``repro.graphs.defense``
+# is the submodule, under its natural name.
 from repro.graphs.defense import DEFENSE_CONCEPTS, deterrence, full_posture, security
 from repro.graphs.defense import defense as defense_pattern
 from repro.graphs.metrics import (
@@ -94,51 +90,3 @@ __all__ = [
     "classify_spec",
     "ScenarioScore", "GRAPH_PATTERN_NAMES", "TOPOLOGY_NAMES", "SCENARIO_NAMES",
 ]
-
-# Unshadow the ``defense`` submodule binding the import machinery created, so
-# the deprecated-alias ``__getattr__`` below owns the name.  ``from
-# repro.graphs.defense import ...`` and ``importlib.import_module`` still
-# resolve through ``sys.modules`` as usual; *attribute* access (including the
-# ``import repro.graphs.defense`` dotted idiom, which binds via getattr on
-# this package) goes through the alias below.
-del defense  # noqa: F821 - bound as a side effect of the submodule imports
-
-
-class _DefenseAlias:
-    """Deprecated ``repro.graphs.defense`` attribute: both meanings keep working.
-
-    Historically the name was the re-exported *function* (shadowing the
-    submodule); today the canonical function name is ``defense_pattern``.
-    This alias is callable as the function and forwards attribute access
-    (``repro.graphs.defense.security`` …) to the submodule, so neither old
-    idiom breaks while the DeprecationWarning steers callers off the
-    ambiguous name.
-    """
-
-    def __call__(self, *args, **kwargs):
-        return defense_pattern(*args, **kwargs)
-
-    def __getattr__(self, name: str):
-        import sys
-
-        return getattr(sys.modules["repro.graphs.defense"], name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<deprecated alias 'repro.graphs.defense' (use defense_pattern)>"
-
-
-_defense_alias = _DefenseAlias()
-
-
-def __getattr__(name: str):
-    if name == "defense":
-        _warnings.warn(
-            "'repro.graphs.defense' is ambiguous (function vs submodule) and "
-            "deprecated; call 'repro.graphs.defense_pattern' (also the "
-            "scenario-registry name) for the function, or import the "
-            "submodule explicitly via 'from repro.graphs.defense import ...'",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _defense_alias
-    raise AttributeError(f"module 'repro.graphs' has no attribute {name!r}")

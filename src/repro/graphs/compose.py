@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.core.traffic_matrix import TrafficMatrix
+from repro.core.traffic_matrix import TrafficMatrix, _non_negative
 from repro.errors import ShapeError
 from repro.graphs.noise import with_noise
 from repro.runtime.config import parallel_config
@@ -56,10 +56,11 @@ def overlay(matrices: Iterable[TrafficMatrix]) -> TrafficMatrix:
         total(accum=PLUS) << union_all([m.to_csr() for m in matrices[1:]])
         colors, extended = TrafficMatrix.overlay_style(matrices)
         return TrafficMatrix(
-            total.to_dense(0),
+            _non_negative(total.to_dense(0)),
             first.labels,
             colors,
             extended_colors=extended,
+            _trusted=True,
         )
     total = first.copy()
     for m in matrices[1:]:

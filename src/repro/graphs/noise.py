@@ -88,5 +88,7 @@ def with_noise(
     )
     if preserve_pattern:
         cleaned = np.where(matrix.packets > 0, 0, noise.packets)
-        noise = TrafficMatrix(cleaned, matrix.labels)
+        noise = TrafficMatrix(
+            cleaned, matrix.labels, np.zeros(cleaned.shape, dtype=np.int8), _trusted=True
+        )
     return matrix + noise

@@ -17,24 +17,14 @@ from dataclasses import replace
 from functools import lru_cache
 from typing import Callable, Mapping
 
-import importlib
-
 from repro.core.traffic_matrix import TrafficMatrix
+from repro.graphs import attack, ddos, defense, patterns, topologies
 from repro.graphs.compose import challenge
 from repro.modules.builder import ModuleBuilder, pattern_question
 from repro.modules.module import LearningModule, STANDARD_QUESTION
 from repro.modules.templates import template_6x6, template_10x10
 from repro.scenarios import ScenarioSpec, ensure_registered
 from repro.scenarios.registry import REGISTRY_ALIASES, SCENARIO_REGISTRY
-
-# ``repro.graphs`` re-exports a ``defense`` *function* that shadows the
-# submodule on any attribute-based import; go through importlib for all the
-# generator modules so they stay consistent with each other.
-attack = importlib.import_module("repro.graphs.attack")
-ddos = importlib.import_module("repro.graphs.ddos")
-defense = importlib.import_module("repro.graphs.defense")
-patterns = importlib.import_module("repro.graphs.patterns")
-topologies = importlib.import_module("repro.graphs.topologies")
 
 __all__ = [
     "builtin_catalog",

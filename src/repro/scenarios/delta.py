@@ -153,7 +153,7 @@ def apply_delta(
     Returns a :class:`DeltaResult`; ``result.stats`` reports how many row
     blocks were recomputed versus carried over.
     """
-    from repro.core.traffic_matrix import TrafficMatrix
+    from repro.core.traffic_matrix import TrafficMatrix, _non_negative
 
     overlays = _as_overlays(delta)
     target = extend_spec(base_spec, overlays)
@@ -233,7 +233,11 @@ def apply_delta(
         mat.extended_colors for mat in delta_mats
     )
     matrix = TrafficMatrix(
-        packets, base_matrix.labels, colors, extended_colors=extended
+        _non_negative(packets),
+        base_matrix.labels,
+        colors,
+        extended_colors=extended,
+        _trusted=True,
     )
     if target.noise is not None:
         from repro.graphs.noise import with_noise

@@ -13,8 +13,9 @@ processes:
 * every mutation runs inside ``BEGIN IMMEDIATE`` so the write lock is taken
   up front and a transaction either commits whole or leaves nothing;
 * ``SQLITE_BUSY``/"database is locked" is retried with exponential backoff
-  (:meth:`StoreIndex._with_retry`); only when every retry is exhausted does
-  the caller see a :class:`~repro.errors.StoreError`.
+  (:meth:`StoreIndex._with_retry`), at most ``retries + 1`` attempts; when
+  they are used up the caller sees a :class:`~repro.errors.StoreBusyError`
+  (a :class:`~repro.errors.StoreError`).
 
 Upserts are idempotent by construction: the primary key is the spec's content
 address, ``INSERT … ON CONFLICT DO UPDATE`` keeps the original ``created_ns``,
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from repro.errors import StoreError
+from repro.errors import StoreBusyError, StoreError
 from repro.obs import metrics as _obs
 
 __all__ = ["SCHEMA_VERSION", "IndexRow", "StoreIndex"]
@@ -198,13 +199,14 @@ class StoreIndex:
                     return fn()
                 except sqlite3.OperationalError as exc:
                     self._rollback()
-                    if not _is_busy(exc) or attempt == self.retries:
-                        if _is_busy(exc):
-                            raise StoreError(
-                                f"store index {label!r} still locked after "
-                                f"{self.retries + 1} attempts: {exc}"
-                            ) from exc
+                    if not _is_busy(exc):
                         raise StoreError(f"store index {label!r} failed: {exc}") from exc
+                    if attempt == self.retries:
+                        _obs.counter("store.index.busy_failures").inc()
+                        raise StoreBusyError(
+                            f"store index {label!r} still locked after "
+                            f"{self.retries + 1} attempts: {exc}"
+                        ) from exc
                     _obs.counter("store.index.retries").inc()
                     time.sleep(self.backoff * (2**attempt))
                 except BaseException:

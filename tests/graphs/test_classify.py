@@ -9,8 +9,7 @@ import importlib
 from repro.core.traffic_matrix import TrafficMatrix
 from repro.graphs import attack, ddos, patterns, topologies
 
-# ``repro.graphs.defense`` as an attribute is the deprecated function alias;
-# the submodule is reached through the import system (as modules.library does).
+# the generator submodule (its ``defense`` function is exported as ``defense_pattern``)
 defense = importlib.import_module("repro.graphs.defense")
 from repro.graphs.classify import (
     classify_graph_pattern,

@@ -9,7 +9,7 @@ from repro.core.traffic_matrix import TrafficMatrix
 from repro.errors import ShapeError
 from repro.graphs import ddos
 
-# the submodule, not the deprecated function alias ``repro.graphs.defense``
+# the generator submodule (its ``defense`` function is exported as ``defense_pattern``)
 defense = importlib.import_module("repro.graphs.defense")
 from repro.graphs.compose import overlay
 from repro.graphs.firewall import (

@@ -9,8 +9,7 @@ from repro.core.spaces import NetworkSpace as S
 from repro.errors import ShapeError
 from repro.graphs import attack, ddos
 
-# ``repro.graphs.defense`` as an attribute is the deprecated function alias;
-# the submodule is reached through the import system (as modules.library does).
+# the generator submodule (its ``defense`` function is exported as ``defense_pattern``)
 defense = importlib.import_module("repro.graphs.defense")
 
 

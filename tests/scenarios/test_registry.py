@@ -102,6 +102,7 @@ class TestAliasesAndEagerness:
 
         assert REGISTRY_ALIASES["defense"] == "defense_pattern"
         assert get_generator("defense") is get_generator("defense_pattern")
+        assert get_generator("defense").name == "defense_pattern"
 
 
 class TestSelection:

@@ -203,19 +203,21 @@ class TestDefenseNamingWart:
         assert repro.graphs.defense_pattern is defense_module.defense
         assert get_generator("defense_pattern").func is defense_module.defense
 
-    def test_attribute_access_warns_and_both_idioms_work(self):
-        with pytest.warns(DeprecationWarning, match="defense_pattern"):
-            alias = repro.graphs.defense
-        # callable as the historical function re-export ...
-        assert alias(10) == repro.graphs.defense_pattern(10)
-        # ... and dotted access still reaches the submodule's contents
-        assert alias.security is repro.graphs.security
-        assert alias.defense is repro.graphs.defense_pattern
+    def test_attribute_is_the_submodule(self):
+        import importlib
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            attr = repro.graphs.defense
+        assert attr is importlib.import_module("repro.graphs.defense")
+        assert attr.security is repro.graphs.security
+        assert attr.defense is repro.graphs.defense_pattern
 
     def test_dotted_import_idiom_keeps_working(self):
-        import repro.graphs.defense  # noqa: F401 - binds the alias via getattr
+        import repro.graphs.defense  # noqa: F401
 
-        with pytest.warns(DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             matrix = repro.graphs.defense.security(10)
         assert matrix == repro.graphs.security(10)
 

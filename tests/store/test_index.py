@@ -5,7 +5,8 @@ import threading
 
 import pytest
 
-from repro.errors import StoreError
+from repro.errors import StoreBusyError, StoreError
+from repro.obs import metrics as obs_metrics
 from repro.scenarios import ScenarioSpec
 from repro.store import SCHEMA_VERSION, StoreIndex
 
@@ -167,6 +168,30 @@ class TestContention:
             blocker.rollback()
             blocker.close()
             idx.close()
+
+    def test_exhausted_retries_raise_a_counted_busy_error(self, tmp_path):
+        """``retries=1`` means exactly two attempts, then a typed error."""
+        path = tmp_path / "index.sqlite"
+        idx = StoreIndex(path, retries=1, backoff=0)
+        blocker = sqlite3.connect(path, timeout=0.05)
+        blocker.execute("BEGIN IMMEDIATE")
+        retries = obs_metrics.counter("store.index.retries")
+        failures = obs_metrics.counter("store.index.busy_failures")
+        retries_before, failures_before = retries.value, failures.value
+        try:
+            spec = ScenarioSpec(base="ring", params={}, n=8, seed=1)
+            with pytest.raises(StoreBusyError, match="still locked after 2 attempts") as info:
+                _upsert(idx, spec)
+            assert isinstance(info.value, StoreError)
+            assert retries.value == retries_before + 1
+            assert failures.value == failures_before + 1
+        finally:
+            blocker.rollback()
+            blocker.close()
+        # the failed write left nothing behind, and the index recovers
+        _upsert(idx, spec)
+        assert idx.count() == 1
+        idx.close()
 
     def test_thread_safe_upserts(self, tmp_path):
         idx = StoreIndex(tmp_path / "index.sqlite", retries=20, backoff=0.005)
