@@ -2,8 +2,13 @@
 
 The game ships 6×6 and 10×10 templates; this bench measures how far the
 software rasteriser stretches (up to 24×24) and the relative cost of the two
-views.  Expected shape: render time grows with pallet count (voxel count is
-O(n²)); the 2-D spreadsheet view is cheap string assembly by comparison.
+views.  Expected shape: 3-D render time grows about linearly with the
+voxels drawn (O(n²) pallets plus their boxes).  Each asset's voxel cloud is
+built once and cached, so a frame is one scene walk and one vectorised
+scale-and-translate, then the depth sort and rasterisation (about half the
+frame).  On a 2-vCPU x86 VM a 10×10 3-D frame takes about 5 ms (13 ms when
+every frame re-derived each instance's voxels).  The 2-D spreadsheet view is
+cheap string assembly by comparison.
 """
 
 from __future__ import annotations

@@ -372,14 +372,21 @@ class Node3D(Node):
 
     @property
     def global_position(self) -> Vector3:
-        """Position accumulated through all :class:`Node3D` ancestors."""
+        """Position accumulated through all :class:`Node3D` ancestors.
+
+        Sums bottom-up, in the order chained :class:`Vector3` additions would.
+        """
         pos = self.position
+        x, y, z = pos.x, pos.y, pos.z
+        moved = False
         node = self._parent
         while node is not None:
             if isinstance(node, Node3D):
-                pos = pos + node.position
+                p = node.position
+                x, y, z = x + p.x, y + p.y, z + p.z
+                moved = True
             node = node._parent
-        return pos
+        return Vector3(x, y, z) if moved else pos
 
 
 class Label3D(Node3D):

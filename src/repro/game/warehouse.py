@@ -173,16 +173,16 @@ class WarehouseLevel:
         n = matrix.n
         flat = matrix.packets.ravel()
         target = min(self._placed + max(0, count), int(flat.sum()))
+        pallets = self.controller.get_node("Pallets")
         placed = 0
         for cell in range(n * n):
+            boxes = pallets.get_child(cell).get_node("Boxes")
             for k in range(int(flat[cell])):
                 placed += 1
                 if placed <= self._placed:
                     continue
                 if placed > target:
                     return self._finish_placement(target)
-                i, j = divmod(cell, n)
-                boxes = self.pallet(i, j).get_node("Boxes")
                 layer, slot = divmod(k, 4)
                 dx = (slot % 2) * _BOX_SIZE - _BOX_SIZE / 2
                 dz = (slot // 2) * _BOX_SIZE - _BOX_SIZE / 2

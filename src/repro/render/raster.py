@@ -49,15 +49,12 @@ class CharBuffer:
     def to_ansi(self) -> str:
         """Glyphs with 24-bit foreground colours for painted cells."""
         lines: list[str] = []
-        for y in range(self.height):
+        for glyphs, painted, colors in zip(
+            self.glyphs.tolist(), self.painted.tolist(), self.colors.tolist()
+        ):
             parts: list[str] = []
-            for x in range(self.width):
-                ch = str(self.glyphs[y, x])
-                if self.painted[y, x]:
-                    r, g, b = (int(v) for v in self.colors[y, x])
-                    parts.append(f"{fg_rgb(r, g, b)}{ch}{RESET}")
-                else:
-                    parts.append(ch)
+            for ch, hit, (r, g, b) in zip(glyphs, painted, colors):
+                parts.append(f"{fg_rgb(r, g, b)}{ch}{RESET}" if hit else ch)
             lines.append("".join(parts))
         return "\n".join(lines)
 

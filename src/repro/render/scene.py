@@ -9,6 +9,8 @@ RGB pixel frames for PPM screenshots.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.engine.node import MeshInstance3D, Node
@@ -16,7 +18,6 @@ from repro.engine.resources import StandardMaterial3D
 from repro.render.camera import OrthoCamera
 from repro.render.raster import CharBuffer, rasterize_points
 from repro.voxel.assets import asset
-from repro.voxel.model import VoxelModel
 
 __all__ = ["collect_voxels", "render_scene_ascii", "render_scene_pixels", "MATERIAL_COLOR_INDEX"]
 
@@ -35,7 +36,34 @@ MATERIAL_COLOR_INDEX = {
 VOXEL_SCALE = 1.0 / 8.0
 
 
-def _model_for(instance: MeshInstance3D) -> VoxelModel | None:
+@lru_cache(maxsize=64)
+def _voxel_cloud(mesh: str, color: int | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """One asset's voxels in model space, computed once per ``(mesh, colour)``.
+
+    Returns read-only ``(offsets (k, 3) float64, rgb (k, 3) uint8)``: the
+    footprint is centred on the origin and scaled to world units, so an
+    instance only multiplies by its scale and adds its world position.
+    ``None`` for an empty model; an unknown mesh raises ``KeyError``.
+    """
+    model = asset(mesh, color=color)
+    if model.is_empty():
+        return None
+    xs, ys, zs, colors = model.filled()
+    sx, _, sz = model.size
+    # centre the asset footprint on the node position
+    offsets = np.stack(
+        [(xs - sx / 2.0) * VOXEL_SCALE, ys * VOXEL_SCALE, (zs - sz / 2.0) * VOXEL_SCALE],
+        axis=1,
+    )
+    pal = np.zeros((len(model.palette) + 1, 3), dtype=np.uint8)
+    pal[1:] = np.asarray(model.palette, dtype=np.uint8)
+    rgb = pal[colors]
+    offsets.flags.writeable = False
+    rgb.flags.writeable = False
+    return offsets, rgb
+
+
+def _cloud_for(instance: MeshInstance3D) -> tuple[np.ndarray, np.ndarray] | None:
     if not instance.mesh:
         return None
     override = instance.material_override
@@ -43,7 +71,7 @@ def _model_for(instance: MeshInstance3D) -> VoxelModel | None:
     if isinstance(override, StandardMaterial3D):
         color = MATERIAL_COLOR_INDEX.get(override.albedo)
     try:
-        return asset(instance.mesh, color=color)
+        return _voxel_cloud(instance.mesh, color)
     except KeyError:
         return None
 
@@ -51,40 +79,36 @@ def _model_for(instance: MeshInstance3D) -> VoxelModel | None:
 def collect_voxels(root: Node) -> tuple[np.ndarray, np.ndarray]:
     """Gather every visible mesh's voxels in world space.
 
-    Returns ``(points (n, 3) float64, rgb (n, 3) uint8)``.  A node hidden via
-    ``visible = False`` hides its whole subtree, matching Godot.
+    Returns ``(points (n, 3) float64, rgb (n, 3) uint8)`` in tree walk order.
+    A node hidden via ``visible = False`` hides its whole subtree, matching
+    Godot.  Each instance contributes its asset's cached cloud; one pass at
+    the end scales and translates all of them together.
     """
-    points: list[np.ndarray] = []
+    offsets: list[np.ndarray] = []
     rgbs: list[np.ndarray] = []
+    scales: list[float] = []
+    bases: list[tuple[float, float, float]] = []
 
     def walk(node: Node, hidden: bool) -> None:
         node_hidden = hidden or (getattr(node, "visible", True) is False)
         if isinstance(node, MeshInstance3D) and not node_hidden:
-            model = _model_for(node)
-            if model is not None and not model.is_empty():
-                xs, ys, zs, colors = model.filled()
+            cloud = _cloud_for(node)
+            if cloud is not None:
                 base = node.global_position
-                sx, _, sz = model.size
-                # centre the asset footprint on the node position
-                pts = np.stack(
-                    [
-                        (xs - sx / 2.0) * VOXEL_SCALE * node.scale + base.x,
-                        ys * VOXEL_SCALE * node.scale + base.y,
-                        (zs - sz / 2.0) * VOXEL_SCALE * node.scale + base.z,
-                    ],
-                    axis=1,
-                )
-                pal = np.zeros((len(model.palette) + 1, 3), dtype=np.uint8)
-                pal[1:] = np.asarray(model.palette, dtype=np.uint8)
-                points.append(pts)
-                rgbs.append(pal[colors])
-        for child in node.get_children():
+                offsets.append(cloud[0])
+                rgbs.append(cloud[1])
+                scales.append(node.scale)
+                bases.append((base.x, base.y, base.z))
+        for child in node._children:
             walk(child, node_hidden)
 
     walk(root, False)
-    if not points:
+    if not offsets:
         return np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8)
-    return np.concatenate(points, axis=0), np.concatenate(rgbs, axis=0)
+    counts = [len(o) for o in offsets]
+    scale = np.repeat(np.array(scales, dtype=np.float64), counts)[:, None]
+    base = np.repeat(np.array(bases, dtype=np.float64), counts, axis=0)
+    return np.concatenate(offsets, axis=0) * scale + base, np.concatenate(rgbs, axis=0)
 
 
 def render_scene_ascii(

@@ -17,17 +17,14 @@ With a :class:`~repro.store.ScenarioStore` attached (``store=`` on
 minimized spec, its built matrix, and the failure provenance land in the
 store under ``kind="repro"``, and :func:`replay_from_store` re-runs them in
 any later process — a fuzz campaign's findings survive the machine that
-found them.  :func:`load_repro` doubles as the migration shim for legacy
-sha1-named repro files: pass it a store and the file is imported on first
-load (with a deprecation note for the old naming).
+found them.  :func:`load_repro` imports file-only repros into a store on
+first load.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -179,13 +176,6 @@ def _still_fails(oracle: Oracle, candidate: ScenarioSpec) -> bool:
         return True
 
 
-def _legacy_repro_digest(failure: CorpusFailure) -> str:
-    """The pre-``cache_key`` file digest (sha1 of the pretty-sorted document)."""
-    return hashlib.sha1(
-        json.dumps(failure.minimized.to_dict(), sort_keys=True).encode()
-    ).hexdigest()[:10]
-
-
 def _store_repro(
     store: "ScenarioStore", spec: ScenarioSpec, *, oracle: str, detail: str
 ) -> str:
@@ -216,9 +206,7 @@ def save_repro(
     minimized spec's :meth:`~repro.scenarios.ScenarioSpec.cache_key` — the
     same single content address the scenario cache uses), so re-running a
     failing corpus overwrites the same repro instead of accumulating
-    duplicates.  A repro for the same failure saved under the older sha1
-    naming scheme is removed on overwrite; :func:`load_repro` still reads
-    old files by path — the digest only ever named the file.
+    duplicates.
 
     With ``store`` the failure also lands durably under ``kind="repro"``
     (minimized spec + built matrix + oracle provenance), replayable later
@@ -230,9 +218,6 @@ def save_repro(
     digest = failure.minimized.cache_key()[:10]
     stem = f"repro_{failure.oracle}_{failure.minimized.base}"
     path = repro_dir / f"{stem}_{digest}.json"
-    legacy = repro_dir / f"{stem}_{_legacy_repro_digest(failure)}.json"
-    if legacy != path and legacy.exists():
-        legacy.unlink()
     document = {
         "repro_version": REPRO_FILE_VERSION,
         "oracle": failure.oracle,
@@ -254,10 +239,10 @@ def load_repro(
     """Read a repro file back into its minimized spec (plus the raw document).
 
     With ``store`` the repro is imported into the durable store on first
-    load — the migration path for file-only corpora, including legacy
-    sha1-named files (e.g. under ``tests/corpus/``), which additionally get
-    a :class:`DeprecationWarning` pointing at the store as their new home.
-    Already-imported repros are left untouched, so repeated loads are free.
+    load — the migration path for file-only corpora (e.g. under
+    ``tests/corpus/``).  Any repro file reads by path; its name is not
+    checked.  Already-imported repros are left untouched, so repeated loads
+    are free.
     """
     path = Path(path)
     document = json.loads(path.read_text())
@@ -268,22 +253,6 @@ def load_repro(
             f"(this library reads {REPRO_FILE_VERSION})"
         )
     spec = ScenarioSpec.from_dict(document["spec"])
-    name_digest = path.stem.rsplit("_", 1)[-1]
-    legacy_digest = hashlib.sha1(
-        json.dumps(document["spec"], sort_keys=True).encode()
-    ).hexdigest()[:10]
-    is_legacy_name = (
-        name_digest == legacy_digest and name_digest != spec.cache_key()[:10]
-    )
-    if is_legacy_name:
-        warnings.warn(
-            f"repro file {path.name} uses the deprecated sha1 naming scheme; "
-            f"re-save it (run_corpus(repro_dir=...)) or import it into a "
-            f"ScenarioStore (load_repro(path, store=...)) — sha1-named files "
-            f"will stop being recognised as repros in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if store is not None and store.entry(spec) is None:
         _store_repro(
             store,

@@ -120,34 +120,6 @@ class TestFailurePath:
         expected = failure.minimized.cache_key()[:10]
         assert failure.repro_path.name.endswith(f"_{expected}.json")
 
-    def test_legacy_sha1_named_repro_is_replaced_not_duplicated(self, tmp_path):
-        """A repro saved under the old sha1 scheme is superseded on re-run
-        (load_repro still reads old files by path — only the name changed)."""
-        import hashlib
-
-        report = run_corpus(
-            [self.failing_spec()],
-            oracles=(self.failing_oracle(),),
-            repro_dir=tmp_path,
-        )
-        (failure,) = report.failures
-        old_digest = hashlib.sha1(
-            json.dumps(failure.minimized.to_dict(), sort_keys=True).encode()
-        ).hexdigest()[:10]
-        legacy = tmp_path / (
-            f"repro_{failure.oracle}_{failure.minimized.base}_{old_digest}.json"
-        )
-        failure.repro_path.rename(legacy)  # simulate a pre-upgrade checkout
-        spec, _ = load_repro(legacy)       # old files still load by path
-        assert spec == failure.minimized
-        run_corpus(
-            [self.failing_spec()],
-            oracles=(self.failing_oracle(),),
-            repro_dir=tmp_path,
-        )
-        assert not legacy.exists()
-        assert len(list(tmp_path.glob("repro_*.json"))) == 1
-
     def test_shrink_false_persists_the_original_spec(self, tmp_path):
         report = run_corpus(
             [self.failing_spec()],

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 from fault_fixtures import PERTURBED_SEMIRING
@@ -109,10 +110,12 @@ class TestLegacyMigration:
         path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         return path
 
-    def test_legacy_file_warns_and_imports(self, store, tmp_path):
+    def test_sha1_named_file_imports_without_warning(self, store, tmp_path):
+        """A repro file loads by path whatever digest names it."""
         spec = ScenarioSpec(base="ring", params={}, n=8, seed=3)
         path = self._write_legacy(tmp_path, spec)
-        with pytest.warns(DeprecationWarning, match="sha1 naming"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any warning fails the test
             loaded, document = load_repro(path, store=store)
         assert loaded == spec
         row = store.entry(spec)
@@ -122,11 +125,9 @@ class TestLegacyMigration:
     def test_second_load_is_idempotent(self, store, tmp_path):
         spec = ScenarioSpec(base="ring", params={}, n=8, seed=3)
         path = self._write_legacy(tmp_path, spec)
-        with pytest.warns(DeprecationWarning):
-            load_repro(path, store=store)
+        load_repro(path, store=store)
         writes = store.entry(spec).writes
-        with pytest.warns(DeprecationWarning):
-            load_repro(path, store=store)  # already imported: untouched
+        load_repro(path, store=store)  # already imported: untouched
         assert store.entry(spec).writes == writes
 
     def test_modern_file_imports_without_warning(self, store, tmp_path):
@@ -136,10 +137,8 @@ class TestLegacyMigration:
         path = report.failures[0].repro_path
         fresh_root = tmp_path / "fresh_store"
         with ScenarioStore(fresh_root, fsync=False) as fresh:
-            import warnings as _warnings
-
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error")  # any warning fails the test
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # any warning fails the test
                 spec, _ = load_repro(path, store=fresh)
             assert fresh.entry(spec) is not None
 
