@@ -63,8 +63,10 @@ def test_parallel_mxm_speedup_and_equality(benchmark, artifacts):
     for n in (*SIZES, SCALE_SIZE):
         a = CSRMatrix.from_dense(random_sparse(n, DENSITY, 1))
         b = CSRMatrix.from_dense(random_sparse(n, DENSITY, 2))
+        # the ESC kernel itself: the routed serial mxm would send these int64
+        # operands to scipy, and the blocked engine parallelises ESC
         with runtime.configured(workers=1, backend="serial"):
-            t_serial, c_serial = best_of(lambda: a.mxm(b, PLUS_TIMES))
+            t_serial, c_serial = best_of(lambda: a._mxm_serial(b, PLUS_TIMES))
         with runtime.configured(workers=workers, backend="thread", min_parallel_work=1):
             t_parallel, c_parallel = best_of(lambda: a.mxm(b, PLUS_TIMES))
         # the headline guarantee: identical indptr/indices/data, bit for bit

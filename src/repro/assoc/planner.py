@@ -16,10 +16,12 @@ Fusion rules:
   operand of intersections, so each sub-expression evaluates already-masked;
 * **fused masked kernels** — a non-complemented mask on ``mxm`` runs the
   masked ESC kernel (masked-out rows are never expanded; the full product is
-  never materialised); masks on unions/intersections filter triples before
-  the coalesce sort; a *complemented* mask on ``mxm`` is the one case that
-  computes the full product and filters (the complement of a sparse mask
-  keeps almost every entry, so there is nothing to skip);
+  never materialised), or for a serial int64 ``plus.times`` product its
+  native counterpart (mask-touched rows only, merged with the mask); masks
+  on unions/intersections filter triples before the coalesce sort; a
+  *complemented* mask on ``mxm`` is the one case that computes the full
+  product and filters (the complement of a sparse mask keeps almost every
+  entry, so there is nothing to skip);
 * **union chain collapse** — ``A + B + C`` (same monoid) runs one
   concatenate + coalesce instead of two pairwise unions.
 
@@ -41,6 +43,8 @@ from repro.assoc.sparse import (
     _masked_mxm_serial,
     _masked_mxv_serial,
     _masked_reduce_rows_serial,
+    _native_masked_mxm,
+    _takes_native,
     _union_all_serial,
     masked_select,
 )
@@ -229,6 +233,10 @@ def _dispatch_masked_mxm(
         from repro.assoc.blocked import parallel_masked_mxm
 
         return parallel_masked_mxm(a, b, semiring, mask, cfg)
+    if _takes_native(a, b, semiring):
+        _obs.counter("assoc.route.native").inc()
+        return _native_masked_mxm(a, b, mask)
+    _obs.counter("assoc.route.esc").inc()
     return _masked_mxm_serial(a, b, semiring, mask)
 
 

@@ -93,6 +93,17 @@ class Monoid:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.op(x, y)
 
+    @property
+    def ufunc(self) -> np.ufunc:
+        """The operator as a :class:`numpy.ufunc`, for its ``reduceat``.
+
+        Raises :class:`~repro.errors.SemiringError` for a monoid whose
+        operator is a plain callable.
+        """
+        if not self.op.is_ufunc:
+            raise SemiringError(f"monoid {self.name!r} is not ufunc-backed; cannot reduceat")
+        return self.op.func  # type: ignore[return-value]
+
     def reduceat(self, data: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Segment reduction ``out[k] = reduce(data[starts[k]:starts[k+1]])``.
 
@@ -101,8 +112,7 @@ class Monoid:
         instead of the identity) by patching them afterwards.  ``starts`` is
         the leading ``n`` entries of an ``n+1``-long indptr array.
         """
-        if not self.op.is_ufunc:
-            raise SemiringError(f"monoid {self.name!r} is not ufunc-backed; cannot reduceat")
+        ufunc = self.ufunc
         indptr = starts
         seg_starts = indptr[:-1]
         n_seg = seg_starts.size
@@ -115,7 +125,7 @@ class Monoid:
         # and no start can equal len(data).
         nonempty = indptr[1:] > seg_starts
         if nonempty.any():
-            out[nonempty] = self.op.func.reduceat(data, seg_starts[nonempty])  # type: ignore[union-attr]
+            out[nonempty] = ufunc.reduceat(data, seg_starts[nonempty])
         return out
 
 

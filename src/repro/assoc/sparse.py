@@ -17,6 +17,10 @@ kernels (``coalesce``, ``mxm``, ``mxv``, the element-wise ops) transparently
 dispatch to the row-blocked parallel engine in :mod:`repro.assoc.blocked`.
 Blocked execution preserves the serial kernels' exact per-row term order, so
 both paths return bit-identical matrices.
+
+Serial int64 ``plus.times`` products take a native route through scipy's
+compiled SpGEMM when scipy imports; ESC stays the exact reference it is
+checked against (see the native-route section below).
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import numpy as np
 
 from repro.assoc.semiring import Monoid, PLUS_MONOID, PLUS_TIMES, Semiring
 from repro.errors import SparseFormatError
+from repro.obs import metrics as _obs
+from repro.runtime import backends
 from repro.runtime.config import parallel_config
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,9 +99,34 @@ def _coalesce_core(
         out_vals = vals
     else:
         uniq_key = key[starts]
-        indptr = np.append(starts, key.size)
-        out_vals = add.reduceat(vals, indptr)
+        # duplicate runs start at strictly increasing offsets, so no segment
+        # is empty and the ufunc's own reduceat needs no identity patching
+        out_vals = add.ufunc.reduceat(vals, starts)
+        if out_vals.dtype != vals.dtype:  # reduceat upcasts bools and small ints
+            out_vals = out_vals.astype(vals.dtype)
     return uniq_key // n_cols, uniq_key % n_cols, out_vals
+
+
+def _esc_compress(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    shape: tuple[int, int],
+    semiring: Semiring,
+) -> "CSRMatrix":
+    """The compress step of an ESC product over in-bounds ``int64`` triples.
+
+    Coalesces with the additive monoid, drops the semiring's zeros and
+    builds ``indptr`` — the same result as ``from_triples(...).prune(zero)``
+    without re-validating kernel-built triples or copying a fresh result.
+    """
+    rows, cols, vals = _coalesce_core(rows, cols, vals, shape, semiring.add)
+    keep = vals != semiring.zero(vals.dtype)
+    if not keep.all():
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CSRMatrix(shape, indptr, cols, vals, _trusted=True)
 
 
 class CSRMatrix:
@@ -463,6 +494,9 @@ class CSRMatrix:
     def mxm(self, other: "CSRMatrix", semiring: Semiring = PLUS_TIMES) -> "CSRMatrix":
         """Sparse matrix product over *semiring* using vectorized ESC.
 
+        (A serial int64 ``plus.times`` product runs on the native route
+        instead, which returns the same matrix bit for bit.)
+
         Expansion: for each stored ``A(i, k)``, gather row ``k`` of ``B``; the
         per-entry gather lengths come from ``B``'s row-nnz, and the flat gather
         positions are built with a repeat/cumsum ramp.  Compression: coalesce
@@ -498,6 +532,10 @@ class CSRMatrix:
             from repro.assoc.blocked import parallel_mxm
 
             return parallel_mxm(self, other, semiring, cfg)
+        if _takes_native(self, other, semiring):
+            _obs.counter("assoc.route.native").inc()
+            return _native_mxm(self, other)
+        _obs.counter("assoc.route.esc").inc()
         return self._mxm_serial(other, semiring, counts, total)
 
     def _mxm_serial(
@@ -523,8 +561,7 @@ class CSRMatrix:
         b_pos = offsets + ramp
         out_cols = other.indices[b_pos]
         out_vals = np.asarray(semiring.mult(np.repeat(self.data, counts), other.data[b_pos]))
-        result = CSRMatrix.from_triples(out_rows, out_cols, out_vals, out_shape, semiring.add)
-        return result.prune(semiring.zero(out_vals.dtype))
+        return _esc_compress(out_rows, out_cols, out_vals, out_shape, semiring)
 
     def reduce_rows(self, add: Monoid = PLUS_MONOID) -> np.ndarray:
         """Dense vector of per-row reductions (empty rows get the identity)."""
@@ -583,6 +620,72 @@ class CSRMatrix:
             csr.data.copy(),
             _trusted=True,
         )
+
+
+# ---------------------------------------------------------------------- #
+# native route: int64 plus.times through scipy's compiled SpGEMM
+#
+# Integer addition wraps modulo 2**64 in any order, so scipy's row-wise
+# accumulation returns exactly the ESC sums, and ``csr_matmat`` drops zero
+# sums just as ESC prunes the semiring's zero.  Every other dtype and
+# semiring stays on ESC (float sums depend on order), and ESC remains the
+# exact reference the oracles check this route against.
+# ---------------------------------------------------------------------- #
+
+
+def _takes_native(a: "CSRMatrix", b: "CSRMatrix", semiring: Semiring) -> bool:
+    """Whether a serial product of *a* and *b* runs on the native route."""
+    return (
+        semiring == PLUS_TIMES
+        and a.dtype == np.int64
+        and b.dtype == np.int64
+        and backends.has_scipy()
+    )
+
+
+def _native_mxm(a: "CSRMatrix", b: "CSRMatrix") -> "CSRMatrix":
+    """``a @ b`` over int64 ``plus.times`` in canonical CSR order.
+
+    scipy leaves each output row's columns unsorted, and sorting them costs
+    more than the product.  So this multiplies the transposes instead,
+    ``Cᵀ = Bᵀ·Aᵀ``, and reads the result out with one linear ``tocsc()``:
+    the CSC arrays of ``Cᵀ`` are the row-sorted CSR arrays of ``C``.
+    """
+    import scipy.sparse as sp
+
+    sa = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+    sb = sp.csr_matrix((b.data, b.indices, b.indptr), shape=b.shape)
+    c = (sb.tocsc().T @ sa.tocsc().T).tocsc()
+    return CSRMatrix((a.shape[0], b.shape[1]), c.indptr, c.indices, c.data, _trusted=True)
+
+
+def _native_masked_mxm(a: "CSRMatrix", b: "CSRMatrix", mask: "CSRMatrix") -> "CSRMatrix":
+    """``C⟨M⟩ = A @ B`` over int64 ``plus.times``; equals :func:`_masked_mxm_serial`.
+
+    Only the rows of *a* the mask touches are multiplied (the fused ESC
+    kernel's row rule), so the full product never exists.  The unsorted
+    product is intersected with the mask pattern by one element-wise
+    multiply against a ones-valued copy of the mask, and only that masked
+    result, never larger than the product and usually far smaller, is
+    sorted into canonical order.
+    """
+    import scipy.sparse as sp
+
+    out_shape = (a.shape[0], b.shape[1])
+    if mask.shape != out_shape:
+        raise SparseFormatError(f"mask shape {mask.shape} != product shape {out_shape}")
+    row_nnz = np.where(mask.row_nnz() > 0, a.row_nnz(), 0)
+    keep = np.repeat(row_nnz > 0, a.row_nnz())
+    indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+    np.cumsum(row_nnz, out=indptr[1:])
+    sa = sp.csr_matrix((a.data[keep], a.indices[keep], indptr), shape=a.shape)
+    sb = sp.csr_matrix((b.data, b.indices, b.indptr), shape=b.shape)
+    ones = sp.csr_matrix(
+        (np.ones(mask.nnz, dtype=np.int64), mask.indices, mask.indptr), shape=out_shape
+    )
+    out = (sa @ sb).multiply(ones).tocsr()
+    out.sort_indices()
+    return CSRMatrix(out_shape, out.indptr, out.indices, out.data, _trusted=True)
 
 
 # ---------------------------------------------------------------------- #
@@ -700,8 +803,7 @@ def _masked_mxm_serial(
     out_vals = np.asarray(semiring.mult(a_vals, b_vals))
     if out_vals.size == 0:
         return CSRMatrix.empty(out_shape, out_dtype)
-    result = CSRMatrix.from_triples(out_rows, out_cols, out_vals, out_shape, semiring.add)
-    return result.prune(semiring.zero(out_vals.dtype))
+    return _esc_compress(out_rows, out_cols, out_vals, out_shape, semiring)
 
 
 def _masked_mxv_serial(

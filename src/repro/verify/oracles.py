@@ -32,6 +32,7 @@ from repro.assoc.blocked import (
     parallel_mxv,
     parallel_union_all,
 )
+from repro.assoc.planner import _dispatch_masked_mxm
 from repro.assoc.semiring import PLUS_MONOID, PLUS_TIMES, Monoid, Semiring
 from repro.assoc.sparse import (
     CSRMatrix,
@@ -42,7 +43,7 @@ from repro.assoc.sparse import (
     _union_all_serial,
     masked_select,
 )
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import RuntimeConfig, serial_region
 from repro.scenarios.registry import get_generator
 from repro.scenarios.spec import OverlaySpec, ScenarioSpec
 
@@ -124,6 +125,9 @@ class KernelEqualityOracle:
     and once through :class:`~repro.assoc.blocked.BlockedCSR` tiling with a
     deliberately tiny ``block_rows`` so every matrix splits into several
     blocks.  Results must be identical to the bit (values, structure, dtype).
+    The routed serial ``mxm`` (the native scipy route for the corpus's int64
+    ``plus.times``) must also equal the ESC product: ESC is the exact
+    reference that spot-checks the fast route.
 
     The blocked evaluation runs on a serial executor by design: the *math*
     of the tiled decomposition is what differential testing probes here, and
@@ -150,6 +154,10 @@ class KernelEqualityOracle:
         x = rng.integers(0, 5, size=a.shape[1]).astype(np.int64)
 
         serial_mxm = a._mxm_serial(a, self.semiring)
+        with serial_region():
+            routed_mxm = a._mxm_dispatch(a, self.semiring)
+        if not _csr_identical(routed_mxm, serial_mxm):
+            return _failed(self.name, f"mxm routed != ESC ({self.semiring.name})")
         blocked_mxm = parallel_mxm(a, a, self.semiring, cfg)
         if not _csr_identical(serial_mxm, blocked_mxm):
             return _failed(self.name, f"mxm serial != blocked ({self.semiring.name})")
@@ -211,8 +219,10 @@ class MaskedEqualityOracle:
     full result and zeroes the masked-out cells.  Covered: masked ``mxm``
     (plain and complement), the fused n-ary union, the masked intersection,
     ``masked_select``, masked ``mxv``, and the mask+accumulator assignment
-    rule.  The structural mask is drawn deterministically from the spec seed,
-    so the corpus replays identically everywhere.
+    rule.  The routed serial masked ``mxm`` (native for int64 ``plus.times``)
+    must equal the fused ESC kernel.  The structural mask is drawn
+    deterministically from the spec seed, so the corpus replays identically
+    everywhere.
 
     Like :class:`KernelEqualityOracle`, the blocked paths run on an explicit
     serial config so whole corpora can fan over thread/process pools without
@@ -251,7 +261,12 @@ class MaskedEqualityOracle:
         mask = CSRMatrix.from_dense(allow)
         sr, add = self.semiring, self.monoid
 
-        # masked mxm: fused serial ≡ fused blocked ≡ lazy surface ≡ dense ref
+        # masked mxm: routed ≡ fused serial ≡ fused blocked ≡ lazy surface ≡ dense ref
+        fused = _masked_mxm_serial(a, a, sr, mask)
+        with serial_region():
+            routed = _dispatch_masked_mxm(a, a, sr, mask)
+        if not _csr_identical(routed, fused):
+            return _failed(self.name, f"masked mxm routed != ESC ({sr.name})")
         eager = a._mxm_serial(a, sr)
         for complement, allowed in ((False, allow), (True, ~allow)):
             ref = self._filtered_ref(eager, allowed)
@@ -259,7 +274,6 @@ class MaskedEqualityOracle:
             if not _csr_identical(lazy_out, ref):
                 return _failed(self.name, f"lazy masked mxm != eager-then-filter (complement={complement})")
             if not complement:
-                fused = _masked_mxm_serial(a, a, sr, mask)
                 blocked = parallel_masked_mxm(a, a, sr, mask, cfg)
                 if not (_csr_identical(fused, ref) and _csr_identical(blocked, ref)):
                     return _failed(self.name, "fused masked mxm != eager-then-filter")

@@ -6,9 +6,19 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.assoc.semiring import LOR_LAND, MAX_MONOID, MIN_PLUS, PLUS_PAIR, PLUS_TIMES
+from repro.assoc.semiring import (
+    LOR_LAND,
+    LOR_MONOID,
+    MAX_MONOID,
+    MIN_PLUS,
+    PLUS_MONOID,
+    PLUS_PAIR,
+    PLUS_TIMES,
+    BinaryOp,
+    Monoid,
+)
 from repro.assoc.sparse import CSRMatrix, coalesce
-from repro.errors import SparseFormatError
+from repro.errors import SemiringError, SparseFormatError
 
 
 def dense_strategy(max_n: int = 7, density_max: int = 3):
@@ -49,6 +59,28 @@ class TestCoalesce:
     def test_empty_passthrough(self):
         r, c, v = coalesce(np.asarray([]), np.asarray([]), np.asarray([]), (3, 3))
         assert r.size == c.size == v.size == 0
+
+    def test_duplicates_under_non_ufunc_monoid_raise_semiring_error(self):
+        # the compress step calls the ufunc's reduceat directly; a plain
+        # callable must still fail as a SemiringError, not an AttributeError
+        bad = Monoid(BinaryOp("first", lambda x, y: x), lambda dt: 0)
+        with pytest.raises(SemiringError, match="not ufunc-backed"):
+            coalesce(np.asarray([0, 0]), np.asarray([1, 1]), np.asarray([1, 2]), (1, 2), bad)
+
+    @pytest.mark.parametrize(
+        "vals, add, want",
+        [
+            (np.asarray([True, True, False], dtype=bool), PLUS_MONOID, [True, False]),
+            (np.asarray([100, 100, 7], dtype=np.int8), PLUS_MONOID, [-56, 7]),
+            (np.asarray([0, 3, 0], dtype=np.int16), LOR_MONOID, [1, 0]),
+        ],
+        ids=["bool-plus", "int8-plus-wraps", "int16-lor"],
+    )
+    def test_merged_values_keep_the_input_dtype(self, vals, add, want):
+        # ufunc.reduceat upcasts bools and small ints; coalesce must not
+        r, c, v = coalesce(np.asarray([0, 0, 1]), np.asarray([0, 0, 0]), vals, (2, 1), add)
+        assert v.dtype == vals.dtype
+        assert v.tolist() == want
 
 
 class TestConstruction:

@@ -8,14 +8,18 @@ perturbation makes blocked results drift from serial ones — exactly the
 class of tile-dependent kernel bug differential testing exists to catch.
 """
 
+import pytest
 from fault_fixtures import PERTURBED_SEMIRING, WRONG_SHAPE_INFER
 
+from repro.assoc import planner, sparse
 from repro.assoc.semiring import PLUS_TIMES
+from repro.runtime import backends
 from repro.scenarios import NoiseSpec, OverlaySpec, ScenarioSpec
 from repro.verify import (
     CacheDeltaOracle,
     ClassifierOracle,
     KernelEqualityOracle,
+    MaskedEqualityOracle,
     OverlayMetamorphicOracle,
     RoundTripOracle,
     StaticShapesOracle,
@@ -55,6 +59,42 @@ class TestKernelEqualityOracle:
         oracle = KernelEqualityOracle(semiring=MIN_PLUS)
         verdict = oracle.check(ScenarioSpec(base="ring", n=12, seed=5))
         assert verdict.passed, verdict.detail
+
+
+@pytest.mark.skipif(not backends.has_scipy(), reason="scipy not installed")
+class TestNativeRouteSpotCheck:
+    """ESC spot-checks the native int64 route: a planted off-by-one there
+    must fail both product oracles, naming the routed product."""
+
+    SPEC = ScenarioSpec(base="clique", n=10, seed=3)
+
+    @pytest.fixture()
+    def off_by_one(self, monkeypatch):
+        def planted(kernel):
+            def wrong(*args):
+                c = kernel(*args)
+                return sparse.CSRMatrix(c.shape, c.indptr, c.indices, c.data + 1, _trusted=True)
+
+            return wrong
+
+        monkeypatch.setattr(sparse, "_native_mxm", planted(sparse._native_mxm))
+        monkeypatch.setattr(
+            planner, "_native_masked_mxm", planted(planner._native_masked_mxm)
+        )
+
+    def test_oracles_pass_on_the_native_route(self):
+        assert KernelEqualityOracle().check(self.SPEC).passed
+        assert MaskedEqualityOracle().check(self.SPEC).passed
+
+    def test_kernel_equality_catches_native_off_by_one(self, off_by_one):
+        verdict = KernelEqualityOracle().check(self.SPEC)
+        assert verdict.failed
+        assert "mxm routed != ESC" in verdict.detail
+
+    def test_masked_equality_catches_native_off_by_one(self, off_by_one):
+        verdict = MaskedEqualityOracle().check(self.SPEC)
+        assert verdict.failed
+        assert "masked mxm routed != ESC" in verdict.detail
 
 
 class TestRoundTripOracle:
