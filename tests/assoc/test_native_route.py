@@ -79,6 +79,12 @@ def masks(draw, n_rows: int, n_cols: int) -> CSRMatrix:
     return CSRMatrix.from_dense(allow)
 
 
+@st.composite
+def masked_operands(draw) -> tuple[tuple[CSRMatrix, CSRMatrix], CSRMatrix]:
+    a, b = draw(operands())
+    return (a, b), draw(masks(a.shape[0], b.shape[1]))
+
+
 def route_counts() -> tuple[int, int]:
     return (
         metrics.counter("assoc.route.native").value,
@@ -103,7 +109,7 @@ class TestNativeEqualsESC:
         assert route_counts() == (native0 + runs_a_kernel(a, b), esc0)
 
     @settings(max_examples=150, deadline=None)
-    @given(operands().flatmap(lambda ab: st.tuples(st.just(ab), masks(ab[0].shape[0], ab[1].shape[1]))))
+    @given(masked_operands())
     def test_masked_mxm(self, case):
         (a, b), mask = case
         native0, esc0 = route_counts()
@@ -161,7 +167,7 @@ class TestRouteSelection:
         assert route_counts() == (native0, esc0 + 2)
 
     @settings(max_examples=40, deadline=None)
-    @given(operands().flatmap(lambda ab: st.tuples(st.just(ab), masks(ab[0].shape[0], ab[1].shape[1]))))
+    @given(masked_operands())
     def test_without_scipy_falls_back_to_esc(self, case):
         (a, b), mask = case
         ref = a._mxm_serial(b, PLUS_TIMES)
