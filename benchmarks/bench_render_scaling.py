@@ -2,13 +2,21 @@
 
 The game ships 6×6 and 10×10 templates; this bench measures how far the
 software rasteriser stretches (up to 24×24) and the relative cost of the two
-views.  Expected shape: 3-D render time grows about linearly with the
-voxels drawn (O(n²) pallets plus their boxes).  Each asset's voxel cloud is
-built once and cached, so a frame is one scene walk and one vectorised
-scale-and-translate, then the depth sort and rasterisation (about half the
-frame).  On a 2-vCPU x86 VM a 10×10 3-D frame takes about 5 ms (13 ms when
-every frame re-derived each instance's voxels).  The 2-D spreadsheet view is
-cheap string assembly by comparison.
+views.  A level caches its render work per scene revision, so the 3-D view
+has two costs, timed as separate columns:
+
+* **first frame** after a revision (the level was just built, packets were
+  placed or the pallet colours toggled): one scene walk that places every
+  cached asset cloud with one vectorised scale-and-translate, then the
+  projection and the z-buffered rasterisation.  It grows about linearly
+  with the voxels drawn (O(n²) pallets plus their boxes).
+* **revisited view** (Q after E, or any yaw already drawn in this revision):
+  a copy of the memoised frame.
+
+On a 2-vCPU x86 VM (one pinned CPU) a 10×10 3-D first frame takes about
+2-3.5 ms and a revisited view about 0.005 ms; every frame took 5-7 ms when
+each one re-walked the scene and depth-sorted every voxel with ``argsort``.
+The 2-D spreadsheet view is cheap string assembly by comparison.
 """
 
 from __future__ import annotations
@@ -32,33 +40,51 @@ def module_of_size(n: int):
     return ModuleBuilder(f"Scale {n}x{n}").matrix(matrix).build()
 
 
+def _best_ms(fn, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
 def test_render_scaling(benchmark, artifacts):
     sizes = (6, 10, 16, 24)
     rows = []
     for n in sizes:
         level = WarehouseLevel(module_of_size(n))
         level.place_all_packets()
-
-        t0 = time.perf_counter()
-        render_matrix_2d(level.module.matrix, ansi=True)
-        t_2d = time.perf_counter() - t0
+        t_2d = _best_ms(lambda: render_matrix_2d(level.module.matrix, ansi=True), 5)
 
         level.toggle_view()
-        t0 = time.perf_counter()
-        level.render_ascii(width=100, height=36)
-        t_3d = time.perf_counter() - t0
 
-        rows.append([f"{n}x{n}", f"{t_2d * 1e3:.2f} ms", f"{t_3d * 1e3:.2f} ms"])
+        def first_frame():
+            level.invalidate()
+            level.render_ascii(width=100, height=36)
 
-    # timed target: the paper's 10x10 in 3-D
+        t_first = _best_ms(first_frame, 5)
+        t_again = _best_ms(lambda: level.render_ascii(width=100, height=36), 20)
+        rows.append(
+            [f"{n}x{n}", f"{t_2d:.2f} ms", f"{t_first:.2f} ms", f"{t_again:.3f} ms"]
+        )
+
+    # timed target: the paper's 10x10 in 3-D, first frame of a revision
     level10 = WarehouseLevel(module_of_size(10))
     level10.place_all_packets()
     level10.toggle_view()
-    buf = benchmark(level10.render_ascii, width=100, height=36)
+
+    def render_new_revision():
+        level10.invalidate()
+        return level10.render_ascii(width=100, height=36)
+
+    buf = benchmark(render_new_revision)
     assert "█" in buf.to_plain()
 
-    body = format_table(["matrix", "2-D view", "3-D view"], rows) + (
-        "\n\nshape: 3-D cost grows with voxel count (O(n^2) pallets); the 2-D "
-        "spreadsheet view stays near-constant."
+    headers = ["matrix", "2-D view", "3-D first frame", "3-D revisited view"]
+    body = format_table(headers, rows) + (
+        "\n\nshape: the first 3-D frame of a revision grows with voxel count "
+        "(O(n^2) pallets); a revisited view is a copy of the memoised frame; "
+        "the 2-D spreadsheet view stays near-constant."
     )
     write_artifact(artifacts / "render_scaling.txt", "Ablation: renderer scaling", body)

@@ -137,7 +137,7 @@ class CSRMatrix:
     removed with :meth:`prune`).
     """
 
-    __slots__ = ("shape", "indptr", "indices", "data", "_t_cache")
+    __slots__ = ("shape", "indptr", "indices", "data", "_t_cache", "_ones_cache")
 
     def __init__(
         self,
@@ -153,12 +153,13 @@ class CSRMatrix:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data)
         self._t_cache: "CSRMatrix | None" = None
+        self._ones_cache: "sp.csr_matrix | None" = None
         if not _trusted:
             self._validate()
 
     def __getstate__(self):
-        # the transpose cache is derivable (and mutually referential); keep it
-        # out of pickles so process-backend task payloads stay lean
+        # the transpose and mask-pattern caches are derivable; keep them out
+        # of pickles so process-backend task payloads stay lean
         return (self.shape, self.indptr, self.indices, self.data)
 
     def __setstate__(self, state) -> None:
@@ -168,6 +169,7 @@ class CSRMatrix:
         self.indices = indices
         self.data = data
         self._t_cache = None
+        self._ones_cache = None
 
     def _validate(self) -> None:
         n_rows, n_cols = self.shape
@@ -667,7 +669,9 @@ def _native_masked_mxm(a: "CSRMatrix", b: "CSRMatrix", mask: "CSRMatrix") -> "CS
     product is intersected with the mask pattern by one element-wise
     multiply against a ones-valued copy of the mask, and only that masked
     result, never larger than the product and usually far smaller, is
-    sorted into canonical order.
+    sorted into canonical order.  The ones-valued copy depends only on the
+    mask's pattern, so it is built once per mask object and memoised on it,
+    as :meth:`CSRMatrix.transpose` memoises the transpose.
     """
     import scipy.sparse as sp
 
@@ -680,10 +684,11 @@ def _native_masked_mxm(a: "CSRMatrix", b: "CSRMatrix", mask: "CSRMatrix") -> "CS
     np.cumsum(row_nnz, out=indptr[1:])
     sa = sp.csr_matrix((a.data[keep], a.indices[keep], indptr), shape=a.shape)
     sb = sp.csr_matrix((b.data, b.indices, b.indptr), shape=b.shape)
-    ones = sp.csr_matrix(
-        (np.ones(mask.nnz, dtype=np.int64), mask.indices, mask.indptr), shape=out_shape
-    )
-    out = (sa @ sb).multiply(ones).tocsr()
+    if mask._ones_cache is None:
+        mask._ones_cache = sp.csr_matrix(
+            (np.ones(mask.nnz, dtype=np.int64), mask.indices, mask.indptr), shape=out_shape
+        )
+    out = (sa @ sb).multiply(mask._ones_cache).tocsr()
     out.sort_indices()
     return CSRMatrix(out_shape, out.indptr, out.indices, out.data, _trusted=True)
 

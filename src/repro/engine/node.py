@@ -28,6 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Node", "Node3D", "Label3D", "MeshInstance3D", "ExportVar"]
 
+#: Signals every node has.  Each is created on first ``get_signal`` or
+#: ``connect``: a signal nobody asked for has no connections, so emitting it
+#: does nothing and needs no object.
+BUILTIN_SIGNALS = frozenset(("ready", "child_entered_tree", "tree_entered", "tree_exited"))
+
 
 class ExportVar:
     """One ``@export`` variable: a name, a value, and an optional type hint."""
@@ -57,8 +62,6 @@ class Node:
         self._signals: dict[str, Signal] = {}
         self._exports: dict[str, ExportVar] = {}
         self._script: Any = None
-        for builtin in ("ready", "child_entered_tree", "tree_entered", "tree_exited"):
-            self._signals[builtin] = Signal(builtin)
 
     # ------------------------------------------------------------------ #
     # tree structure
@@ -88,9 +91,12 @@ class Node:
         return len(self._children)
 
     def _unique_child_name(self, wanted: str) -> str:
-        names = {c.name for c in self._children}
-        if wanted not in names:
+        for child in self._children:
+            if child.name == wanted:
+                break
+        else:
             return wanted
+        names = {c.name for c in self._children}
         k = 2
         while f"{wanted}{k}" in names:
             k += 1
@@ -321,23 +327,30 @@ class Node:
         return dict(self._exports)
 
     def add_user_signal(self, name: str) -> Signal:
-        if name in self._signals:
+        if name in self._signals or name in BUILTIN_SIGNALS:
             raise SignalError(f"signal {name!r} already exists on node {self.name!r}")
         sig = Signal(name)
         self._signals[name] = sig
         return sig
 
     def get_signal(self, name: str) -> Signal:
-        try:
-            return self._signals[name]
-        except KeyError:
-            raise SignalError(f"node {self.name!r} has no signal {name!r}") from None
+        sig = self._signals.get(name)
+        if sig is None:
+            if name not in BUILTIN_SIGNALS:
+                raise SignalError(f"node {self.name!r} has no signal {name!r}")
+            sig = self._signals[name] = Signal(name)
+        return sig
 
     def connect(self, signal_name: str, callback: Any, *, one_shot: bool = False) -> None:
         self.get_signal(signal_name).connect(callback, one_shot=one_shot)
 
     def emit_signal(self, name: str, *args: Any) -> None:
-        self.get_signal(name).emit(*args)
+        sig = self._signals.get(name)
+        if sig is None:
+            if name in BUILTIN_SIGNALS:
+                return  # never asked for, so nothing is connected
+            sig = self.get_signal(name)  # raises: no such signal
+        sig.emit(*args)
 
     def add_to_group(self, group: str) -> None:
         self._groups.add(group)

@@ -56,7 +56,7 @@ class SceneTree:
     # ------------------------------------------------------------------ #
 
     def _register_node(self, node: Node) -> None:
-        for group in node.groups:
+        for group in node._groups:
             members = self._groups.setdefault(group, [])
             if node not in members:
                 members.append(node)

@@ -9,7 +9,10 @@ pallet grid, X/Y label rows — wires the exported node references the way the
 Inspector does (Fig. 3/4), and attaches the paper's pallet-and-label
 controller script, which then runs at ``_ready`` exactly as in the game.
 :class:`WarehouseLevel` wraps the scene with game actions: placing packet
-boxes, toggling pallet colours, switching and rotating the view.
+boxes, toggling pallet colours, switching and rotating the view.  The level
+owns its render cache: the world-space voxel cloud and the frames drawn
+from it are computed once per scene revision, and the level's own mutators
+start a new revision.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.gdscript.interpreter import GDScriptClass
 from repro.modules.module import LearningModule
 from repro.render.camera import OrthoCamera, ViewMode
 from repro.render.raster import CharBuffer
-from repro.render.scene import render_scene_ascii, render_scene_pixels
+from repro.render.scene import SceneCache, render_scene_ascii, render_scene_pixels
 from repro.game.scripts import PALLET_CONTROLLER_GD
 
 __all__ = ["build_level", "WarehouseLevel", "PALLET_SPACING"]
@@ -118,7 +121,13 @@ def build_level(module: LearningModule) -> Node3D:
 
 
 class WarehouseLevel:
-    """A running level: scene + camera + game actions for one module."""
+    """A running level: scene + camera + game actions for one module.
+
+    Frames come from a per-revision :class:`~repro.render.scene.SceneCache`.
+    :meth:`place_packets` and :meth:`toggle_pallet_colors` start a new
+    revision themselves; code that edits :attr:`root` directly must call
+    :meth:`invalidate` afterwards.
+    """
 
     def __init__(self, module: LearningModule, *, tree: SceneTree | None = None) -> None:
         self.module = module
@@ -130,6 +139,17 @@ class WarehouseLevel:
             self.tree.change_scene(self.root)
         self.camera = OrthoCamera(mode=ViewMode.TOP_DOWN_2D)
         self._placed = 0
+        self._render_cache = SceneCache()
+
+    def invalidate(self) -> None:
+        """Start a new scene revision: the next frame re-reads :attr:`root`.
+
+        The level's own actions call this.  Any other edit of the scene
+        tree (adding, removing or moving nodes, swapping a material,
+        hiding a node) must call it too, or frames keep showing the scene
+        as it was before the edit.
+        """
+        self._render_cache.invalidate()
 
     # -- scene queries ------------------------------------------------------ #
 
@@ -160,6 +180,7 @@ class WarehouseLevel:
     def toggle_pallet_colors(self) -> bool:
         """The colour-toggle button: runs the paper's ``change_pallet_color``."""
         self.controller.script.call("change_pallet_color")
+        self.invalidate()
         return self.pallets_are_colored
 
     def place_all_packets(self) -> int:
@@ -193,6 +214,7 @@ class WarehouseLevel:
 
     def _finish_placement(self, target: int) -> int:
         self._placed = target
+        self.invalidate()
         return self._placed
 
     @property
@@ -218,8 +240,12 @@ class WarehouseLevel:
 
     def render_ascii(self, *, width: int = 100, height: int = 36) -> CharBuffer:
         """Current view as a character frame (3-D scene raster)."""
-        return render_scene_ascii(self.root, self.camera, width=width, height=height)
+        return render_scene_ascii(
+            self.root, self.camera, width=width, height=height, cache=self._render_cache
+        )
 
     def render_pixels(self, *, width: int = 480, height: int = 360) -> np.ndarray:
         """Current view as an RGB frame (for PPM screenshots)."""
-        return render_scene_pixels(self.root, self.camera, width=width, height=height)
+        return render_scene_pixels(
+            self.root, self.camera, width=width, height=height, cache=self._render_cache
+        )

@@ -6,6 +6,7 @@ from repro.render.camera import ISO_PITCH, OrthoCamera, ViewMode
 from repro.render.ppm import read_ppm, write_ppm
 from repro.render.raster import CharBuffer, rasterize_points
 from repro.render.scene import (
+    SceneCache,
     collect_voxels,
     render_scene_ascii,
     render_scene_pixels,
@@ -20,6 +21,7 @@ __all__ = [
     "ISO_PITCH",
     "CharBuffer",
     "rasterize_points",
+    "SceneCache",
     "collect_voxels",
     "render_scene_ascii",
     "render_scene_pixels",

@@ -1,9 +1,11 @@
 """Z-buffered point rasterisation into character and pixel buffers.
 
 The warehouse renders as a voxel point cloud: every visible voxel projects to
-one cell, nearest-depth wins.  The z-test is vectorized by sorting points
-far-to-near and letting later scatters overwrite earlier ones — NumPy fancy
-assignment applies in index order, so the nearest point lands last.
+one cell, nearest-depth wins.  The z-test is vectorized as a z-buffer: one
+``np.maximum.at`` finds each sample's nearest depth, and only the points at
+that depth are scattered.  NumPy fancy assignment applies in index order, so
+among equally near points the last one lands, exactly as if the points had
+been sorted far-to-near with a stable sort and scattered in that order.
 """
 
 from __future__ import annotations
@@ -47,16 +49,40 @@ class CharBuffer:
         return "\n".join("".join(row) for row in self.glyphs)
 
     def to_ansi(self) -> str:
-        """Glyphs with 24-bit foreground colours for painted cells."""
-        lines: list[str] = []
-        for glyphs, painted, colors in zip(
-            self.glyphs.tolist(), self.painted.tolist(), self.colors.tolist()
-        ):
-            parts: list[str] = []
-            for ch, hit, (r, g, b) in zip(glyphs, painted, colors):
-                parts.append(f"{fg_rgb(r, g, b)}{ch}{RESET}" if hit else ch)
-            lines.append("".join(parts))
-        return "\n".join(lines)
+        """Glyphs with 24-bit foreground colours for painted cells.
+
+        Each cell is keyed by (painted, RGB, glyph); the escape string is
+        built once per distinct key and gathered back into the grid, so a
+        frame costs one ``np.unique`` and one join per row, not one
+        f-string per cell.  Unpainted cells print their bare glyph whatever
+        colour they hold.
+        """
+        codes = self.glyphs.view(np.uint32).astype(np.int64)  # 0 for an empty glyph
+        rgb = self.colors.astype(np.int64)
+        rgb24 = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+        keys = np.where(self.painted, (1 << 45) | (rgb24 << 21) | codes, codes)
+        uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+        table = np.empty(uniq.size, dtype=object)
+        for k, key in enumerate(uniq.tolist()):
+            code = key & 0x1FFFFF
+            ch = chr(code) if code else ""
+            if key >> 45:
+                c = key >> 21
+                table[k] = f"{fg_rgb((c >> 16) & 255, (c >> 8) & 255, c & 255)}{ch}{RESET}"
+            else:
+                table[k] = ch
+        cells = table[inverse].reshape(self.height, self.width)
+        return "\n".join("".join(row) for row in cells.tolist())
+
+    def copy(self) -> "CharBuffer":
+        """An independent buffer with the same cells."""
+        out = CharBuffer.__new__(CharBuffer)
+        out.width = self.width
+        out.height = self.height
+        out.glyphs = self.glyphs.copy()
+        out.colors = self.colors.copy()
+        out.painted = self.painted.copy()
+        return out
 
 
 def rasterize_points(
@@ -101,16 +127,32 @@ def rasterize_points(
     sv = sv * fit + (h - 1 - span_v * fit) / 2.0
     xi = np.clip(np.round(su).astype(np.int64), 0, w - 1)
     yi = np.clip(np.round(sv).astype(np.int64), 0, h - 1)
-    order = np.argsort(depth, kind="stable")  # far → near; near assigns last
-    xi, yi, rgb_o = xi[order], yi[order], rgb[order]
-    grid_color = np.zeros((h, w, 3), dtype=np.uint8)
-    grid_hit = np.zeros((h, w), dtype=bool)
-    grid_color[yi, xi] = rgb_o
-    grid_hit[yi, xi] = True
-    if ss > 1:
-        grid_hit = grid_hit.reshape(height, ss, width, ss).any(axis=(1, 3))
-        # unhit samples are black (0), so a channel-wise max picks a hit colour
-        grid_color = grid_color.reshape(height, ss, width, ss, 3).max(axis=(1, 3))
+    cell = yi * w + xi
+    if np.isnan(depth).any():
+        # a stable sort ranks NaN nearest of all, which no max can see
+        order = np.argsort(depth, kind="stable")  # far → near; near assigns last
+    else:
+        # z-buffer: the nearest depth per sample, then keep the points at it;
+        # ties go to the last point, as in a stable far-to-near sort
+        zbuf = np.full(h * w, -np.inf)
+        np.maximum.at(zbuf, cell, depth)
+        order = np.flatnonzero(depth == zbuf[cell])
+    grid_color = np.zeros((h * w, 3), dtype=np.uint8)
+    grid_hit = np.zeros(h * w, dtype=bool)
+    grid_color[cell[order]] = rgb[order]
+    grid_hit[cell[order]] = True
+    # fold each ss x ss block sample by sample (a strided multi-axis
+    # reduction is several times slower); unhit samples are black (0), so a
+    # channel-wise max picks a hit colour
+    blocks_color = grid_color.reshape(height, ss, width, ss, 3)
+    blocks_hit = grid_hit.reshape(height, ss, width, ss)
+    grid_color = blocks_color[:, 0, :, 0]
+    grid_hit = blocks_hit[:, 0, :, 0]
+    for dy in range(ss):
+        for dx in range(ss):
+            if dy or dx:
+                grid_color = np.maximum(grid_color, blocks_color[:, dy, :, dx])
+                grid_hit = grid_hit | blocks_hit[:, dy, :, dx]
     ys, xs = np.nonzero(grid_hit)
     buf.glyphs[ys, xs] = glyph
     buf.colors[ys, xs] = grid_color[ys, xs]

@@ -4,7 +4,9 @@ Walks the engine scene, instantiates each :class:`MeshInstance3D`'s voxel
 asset (applying material overrides by recolouring, exactly what the game's
 material swap does visually), transforms voxels to world space, and
 rasterises through the camera.  Produces ASCII frames for the terminal and
-RGB pixel frames for PPM screenshots.
+RGB pixel frames for PPM screenshots.  A :class:`SceneCache` keeps that
+work for one revision of a scene, so only a view not drawn before costs a
+projection and a depth sort.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from repro.render.camera import OrthoCamera
 from repro.render.raster import CharBuffer, rasterize_points
 from repro.voxel.assets import asset
 
-__all__ = ["collect_voxels", "render_scene_ascii", "render_scene_pixels", "MATERIAL_COLOR_INDEX"]
+__all__ = [
+    "SceneCache",
+    "collect_voxels",
+    "render_scene_ascii",
+    "render_scene_pixels",
+    "MATERIAL_COLOR_INDEX",
+]
 
 #: Material albedo name → palette index used when overriding an asset's colour.
 MATERIAL_COLOR_INDEX = {
@@ -34,6 +42,10 @@ MATERIAL_COLOR_INDEX = {
 
 #: Voxel scale: one asset voxel is 1/8 world unit (pallets are 1 unit wide).
 VOXEL_SCALE = 1.0 / 8.0
+
+#: Frames a :class:`SceneCache` keeps per revision: every yaw step of both
+#: view modes at two frame sizes; the oldest goes first beyond that.
+FRAME_MEMO = 32
 
 
 @lru_cache(maxsize=64)
@@ -111,6 +123,51 @@ def collect_voxels(root: Node) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(offsets, axis=0) * scale + base, np.concatenate(rgbs, axis=0)
 
 
+class SceneCache:
+    """What a frame of one scene revision derives from the scene tree.
+
+    Holds the world-space cloud (:func:`collect_voxels`, read-only) and the
+    rasterised frames drawn from it, keyed by camera mode, yaw, zoom and
+    frame size, so a revisited view costs no projection or depth sort.  The
+    owner of the scene calls :meth:`invalidate` after every change to the
+    tree; a frame drawn through a stale cache shows the old scene.
+    """
+
+    def __init__(self) -> None:
+        self._cloud: tuple[np.ndarray, np.ndarray] | None = None
+        self._frames: dict[tuple, CharBuffer] = {}
+
+    def invalidate(self) -> None:
+        """Start a new revision: drop the cloud and every memoised frame."""
+        self._cloud = None
+        self._frames.clear()
+
+    def cloud(self, root: Node) -> tuple[np.ndarray, np.ndarray]:
+        """``collect_voxels(root)`` for this revision, computed once."""
+        if self._cloud is None:
+            points, rgb = collect_voxels(root)
+            points.flags.writeable = False
+            rgb.flags.writeable = False
+            self._cloud = (points, rgb)
+        return self._cloud
+
+
+def _rasterize_cloud(
+    cloud: tuple[np.ndarray, np.ndarray],
+    camera: OrthoCamera,
+    width: int,
+    height: int,
+    supersample: int,
+) -> CharBuffer:
+    points, rgb = cloud
+    if points.shape[0] == 0:
+        return CharBuffer(width, height)
+    u, v, depth = camera.project(points)
+    return rasterize_points(
+        u, v, depth, rgb, width=width, height=height, supersample=supersample
+    )
+
+
 def render_scene_ascii(
     root: Node,
     camera: OrthoCamera,
@@ -118,15 +175,23 @@ def render_scene_ascii(
     width: int = 100,
     height: int = 40,
     supersample: int = 2,
+    cache: SceneCache | None = None,
 ) -> CharBuffer:
-    """Rasterise the scene into a character buffer through *camera*."""
-    points, rgb = collect_voxels(root)
-    if points.shape[0] == 0:
-        return CharBuffer(width, height)
-    u, v, depth = camera.project(points)
-    return rasterize_points(
-        u, v, depth, rgb, width=width, height=height, supersample=supersample
-    )
+    """Rasterise the scene into a character buffer through *camera*.
+
+    With a *cache* the cloud is the cache's and a view drawn before in this
+    revision comes from its memo; the caller gets its own copy either way.
+    """
+    if cache is None:
+        return _rasterize_cloud(collect_voxels(root), camera, width, height, supersample)
+    key = (camera.mode, camera.yaw_steps, camera.zoom, width, height, supersample)
+    frame = cache._frames.get(key)
+    if frame is None:
+        frame = _rasterize_cloud(cache.cloud(root), camera, width, height, supersample)
+        if len(cache._frames) >= FRAME_MEMO:
+            del cache._frames[next(iter(cache._frames))]
+        cache._frames[key] = frame
+    return frame.copy()
 
 
 def render_scene_pixels(
@@ -136,13 +201,15 @@ def render_scene_pixels(
     width: int = 400,
     height: int = 300,
     background: tuple[int, int, int] = (18, 18, 22),
+    cache: SceneCache | None = None,
 ) -> np.ndarray:
     """Rasterise the scene into an ``(h, w, 3)`` pixel frame (for PPM output).
 
     Same projection as the ASCII path, but at pixel resolution with square
-    pixels (no cell-aspect doubling).
+    pixels (no cell-aspect doubling).  With a *cache* the cloud is the
+    cache's.
     """
-    points, rgb = collect_voxels(root)
+    points, rgb = collect_voxels(root) if cache is None else cache.cloud(root)
     frame = np.zeros((height, width, 3), dtype=np.uint8)
     frame[:, :] = background
     if points.shape[0] == 0:

@@ -8,6 +8,7 @@ benchmarking baseline and interop target).
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 from dataclasses import dataclass
@@ -27,10 +28,16 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=None)
 def has_scipy() -> bool:
-    """Whether ``scipy.sparse`` is importable (without importing it)."""
+    """Whether scipy is installed, probed once and without importing it.
+
+    ``find_spec("scipy")`` only searches the import path; asking for
+    ``"scipy.sparse"`` would import the parent package to find it.  The
+    answer is memoised because the int64 product route asks on every call.
+    """
     try:
-        return importlib.util.find_spec("scipy.sparse") is not None
+        return importlib.util.find_spec("scipy") is not None
     except (ImportError, ValueError):
         return False
 

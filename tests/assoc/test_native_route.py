@@ -118,6 +118,29 @@ class TestNativeEqualsESC:
         assert route_counts() == (native0 + 1, esc0)
         assert not lazy(a).mxm(b, PLUS_TIMES).plan(mask=mask).materializes_unmasked
 
+    @settings(max_examples=60, deadline=None)
+    @given(masked_operands(), st.data())
+    def test_a_reused_mask_builds_its_pattern_once(self, case, data):
+        (a, b), mask = case
+        b2 = data.draw(int64_csr(*b.shape))
+        first = lazy(a).mxm(b, PLUS_TIMES).new(mask=mask)
+        pattern = mask._ones_cache
+        assert pattern is not None
+        second = lazy(a).mxm(b2, PLUS_TIMES).new(mask=mask)
+        assert mask._ones_cache is pattern
+        assert identical(first, _masked_mxm_serial(a, b, PLUS_TIMES, mask))
+        assert identical(second, _masked_mxm_serial(a, b2, PLUS_TIMES, mask))
+
+    def test_pickled_mask_drops_its_pattern(self):
+        import pickle
+
+        a = CSRMatrix.from_dense(np.array([[1, 2], [3, 4]], dtype=np.int64))
+        mask = CSRMatrix.from_dense(np.eye(2, dtype=bool))
+        lazy(a).mxm(a, PLUS_TIMES).new(mask=mask)
+        assert mask._ones_cache is not None
+        clone = pickle.loads(pickle.dumps(mask))
+        assert clone == mask and clone._ones_cache is None
+
     def test_product_wrapping_to_zero_is_dropped(self):
         a = CSRMatrix.from_dense(np.array([[2**32, 1], [2**62, 0]], dtype=np.int64))
         b = CSRMatrix.from_dense(np.array([[2**32, 0], [0, 5]], dtype=np.int64))

@@ -209,6 +209,55 @@ class TestSignals:
         assert got == ["C"]
 
 
+
+class TestLazyBuiltinSignals:
+    """Built-in signals are created on first use and behave as before."""
+
+    @pytest.mark.parametrize("name", ["ready", "child_entered_tree", "tree_entered", "tree_exited"])
+    def test_get_signal_on_a_fresh_node(self, name):
+        n = Node("N")
+        sig = n.get_signal(name)
+        assert sig.name == name and sig.connection_count() == 0
+        assert n.get_signal(name) is sig
+
+    @pytest.mark.parametrize("name", ["ready", "child_entered_tree", "tree_entered", "tree_exited"])
+    def test_add_user_signal_rejects_builtin_names(self, name):
+        with pytest.raises(SignalError, match="already exists"):
+            Node("N").add_user_signal(name)
+
+    def test_connect_before_entering_the_tree_fires(self):
+        root = Node("R")
+        child = root.add_child(Node("C"))
+        got = []
+        child.connect("tree_entered", lambda: got.append("entered"))
+        child.connect("ready", lambda: got.append("ready"))
+        child.connect("tree_exited", lambda: got.append("exited"))
+        SceneTree(root)
+        root.remove_child(child)
+        assert got == ["entered", "ready", "exited"]
+
+    def test_emitting_an_unconnected_builtin_is_a_no_op(self):
+        n = Node("N")
+        n.emit_signal("ready")
+        n.emit_signal("tree_exited", 1, 2)
+        with pytest.raises(SignalError, match="no signal"):
+            n.get_signal("ghost")
+        with pytest.raises(SignalError, match="no signal"):
+            n.connect("ghost", lambda: None)
+
+    def test_duplicate_names_still_auto_rename(self):
+        boxes = Node("Boxes")
+        names = [boxes.add_child(Node("Box")).name for _ in range(3)]
+        assert names == ["Box", "Box2", "Box3"]
+        boxes.remove_child(boxes.get_child(1))
+        assert boxes.add_child(Node("Box")).name == "Box2"
+        assert boxes.add_child(Node("Other")).name == "Other"
+
+    def test_a_directly_renamed_sibling_still_collides(self):
+        boxes = Node("Boxes")
+        boxes.add_child(Node("A")).name = "Box"
+        assert boxes.add_child(Node("Box")).name == "Box2"
+
 class TestGroupsAndCall:
     def test_groups_via_tree(self):
         root = Node("R")

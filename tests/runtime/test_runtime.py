@@ -1,8 +1,14 @@
 """Runtime configuration, executors, heuristics, and host detection."""
 
+import importlib.util
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro import runtime
 from repro.errors import RuntimeConfigError, WorkerCrashError
@@ -306,3 +312,38 @@ class TestBackends:
         assert info.cpu_count == runtime.cpu_count()
         assert isinstance(info.scipy_available, bool)
         assert "CPU" in info.describe()
+
+    def test_has_scipy_imports_nothing(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = (
+            "import sys\n"
+            "from repro.runtime import backends\n"
+            "backends.has_scipy()\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_has_scipy_probes_once(self, monkeypatch):
+        from repro.runtime import backends
+
+        real = importlib.util.find_spec
+        probes = []
+
+        def counting(name, *args):
+            probes.append(name)
+            return real(name, *args)
+
+        backends.has_scipy.cache_clear()
+        monkeypatch.setattr(importlib.util, "find_spec", counting)
+        try:
+            first, second = backends.has_scipy(), backends.has_scipy()
+        finally:
+            backends.has_scipy.cache_clear()
+        assert first == second == (real("scipy") is not None)
+        assert probes == ["scipy"]
