@@ -1,47 +1,38 @@
-"""Row-blocked CSR tiling and the parallel entry points for every kernel.
+"""The row-blocked parallel engine: one kernel table and one dispatcher.
 
-A :class:`BlockedCSR` is a :class:`~repro.assoc.sparse.CSRMatrix` cut into
-contiguous row blocks, each itself a small CSR matrix over the full column
-range.  Row blocking is the natural decomposition for the ESC semiring GEMM:
-``C[i, :]`` depends only on ``A[i, :]`` and all of ``B``, so every block
-multiplies independently and results concatenate row-wise with no reduction
-step.  The same tiling parallelises ``mxv``, the element-wise ops and
-``coalesce``.
+Each blocked kernel is one :class:`BlockedKernel` row in :data:`KERNELS`,
+and :func:`run_blocked` takes any row through the same steps: row partition,
+transport choice, export or slicing, one map of :func:`_block_task`, then
+cast and assembly.  The ``parallel_*`` entry points are one-line calls into
+it.  The planner (:mod:`repro.assoc.planner`) decides *whether* a kernel
+runs blocked; this module decides *how*.
 
 **Bit-identical results.**  The serial kernels stable-sort expansion terms by
 ``row * n_cols + col`` and combine duplicates with ``reduceat``.  Row blocks
-partition that key space into disjoint, ordered ranges while preserving the
-relative order of terms inside each range, so per-block outputs concatenate
-into exactly the serial output — including float rounding, because every
-duplicate group is reduced in the same order.  The benchmark and property
-tests assert this equality rather than assuming it.
+partition that key space into disjoint, ordered ranges and keep the order of
+terms inside each range, so per-block outputs concatenate into exactly the
+serial output, float rounding included.  Masks share the operand's row
+tiling and filter per row, so the fused masked kernels keep the property.
 
-The ``parallel_*`` functions here are the dispatch targets used by
-:mod:`repro.assoc.sparse` when :func:`repro.runtime.configure` enables
-workers; they can also be called directly with an explicit config.
-
-**Zero-copy process dispatch.**  On the ``process`` backend, every entry
-point checks :meth:`~repro.runtime.config.RuntimeConfig.use_shm` against the
-total operand bytes: above the threshold, operands are exported **once** into
-:mod:`multiprocessing.shared_memory` segments (:mod:`repro.runtime.shm`) and
-each task ships only ``(segment refs, block range)``; workers attach and run
-the *same serial kernels* on the same row partition, so the per-block outputs
-— and therefore the assembled result — are bit-identical to the pickle path.
-Small operands keep the pickle path, where per-task copies are cheaper than
-the segment round trip.
+**Zero-copy process dispatch.**  On the ``process`` backend, operands above
+``RuntimeConfig.shm_min_bytes`` are exported **once** into shared-memory
+segments (:mod:`repro.runtime.shm`); each task ships only segment refs and
+its row range, attaches, cuts its rows with the same :func:`_slice_rows` the
+pickle route uses in the parent, and runs the same serial kernel, so both
+routes return the same bits.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator
+
 import numpy as np
 
-from contextlib import contextmanager
-from typing import Iterator
-
 from repro.assoc import sparse as _sparse
-from repro.assoc.semiring import Monoid, PLUS_TIMES, Semiring
+from repro.assoc.semiring import Monoid, Semiring
 from repro.assoc.sparse import CSRMatrix
-from repro.errors import SparseFormatError
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.runtime import shm as _shm
@@ -49,38 +40,26 @@ from repro.runtime.config import RuntimeConfig, get_config
 from repro.runtime.executor import choose_block_rows, get_executor
 
 __all__ = [
-    "BlockedCSR",
-    "parallel_mxm",
-    "parallel_mxv",
-    "parallel_ewise_union",
-    "parallel_ewise_intersect",
-    "parallel_coalesce",
-    "parallel_masked_mxm",
-    "parallel_masked_mxv",
-    "parallel_masked_intersect",
-    "parallel_union_all",
+    "BlockedKernel", "KERNELS", "run_blocked",
+    "parallel_mxm", "parallel_mxv", "parallel_ewise_union", "parallel_ewise_intersect",
+    "parallel_masked_mxm", "parallel_masked_mxv", "parallel_masked_intersect",
+    "parallel_union_all", "parallel_coalesce",
 ]
 
 
 def _slice_rows(csr: CSRMatrix, r0: int, r1: int) -> CSRMatrix:
     """The ``[r0:r1)`` row block of *csr* as a standalone CSR (zero-copy views)."""
-    lo = int(csr.indptr[r0])
-    hi = int(csr.indptr[r1])
-    return CSRMatrix(
-        (r1 - r0, csr.shape[1]),
-        csr.indptr[r0 : r1 + 1] - lo,
-        csr.indices[lo:hi],
-        csr.data[lo:hi],
-        _trusted=True,
-    )
+    lo, hi = int(csr.indptr[r0]), int(csr.indptr[r1])
+    indptr = csr.indptr[r0 : r1 + 1] - lo
+    indices, data = csr.indices[lo:hi], csr.data[lo:hi]
+    return CSRMatrix((r1 - r0, csr.shape[1]), indptr, indices, data, _trusted=True)
 
 
-def _row_starts(n_rows: int, block_rows: int) -> np.ndarray:
+def _row_partition(n_rows: int, work: int, workers: int, requested: int | None) -> np.ndarray:
     """Block boundary rows ``[0, k, 2k, ..., n_rows]`` (always >= 1 block)."""
-    if n_rows <= 0:
-        return np.asarray([0, 0], dtype=np.int64)
-    starts = np.arange(0, n_rows, block_rows, dtype=np.int64)
-    return np.append(starts, n_rows)
+    block_rows = choose_block_rows(n_rows, work, workers, requested)
+    # max(): a zero-row operand still gets its one (empty) block
+    return np.append(np.arange(0, max(n_rows, 1), block_rows, dtype=np.int64), n_rows)
 
 
 @contextmanager
@@ -92,7 +71,7 @@ def _kernel_obs(
     Counts the call (``kernels.<name>``), times it into the shared
     ``kernels.wall_ms`` histogram, and — when tracing is live — opens a
     ``kernel.<name>`` span carrying backend, worker count, and nnz in;
-    callers add ``blocks``/``nnz_out`` via ``span.set(...)`` once known.
+    callers add ``route``/``blocks``/``nnz_out`` via ``span.set(...)``.
     Module-level and patchable on purpose: ``benchmarks/bench_obs_overhead.py``
     swaps it for a transparent no-op to price the instrumentation itself.
     """
@@ -100,498 +79,245 @@ def _kernel_obs(
     tracer = _trace.get_tracer()
     t0 = _obs.monotonic_ns()
     with tracer.span(
-        f"kernel.{name}",
-        backend=cfg.resolved_backend(),
-        workers=cfg.workers,
-        nnz_in=nnz_in,
+        f"kernel.{name}", backend=cfg.resolved_backend(), workers=cfg.workers, nnz_in=nnz_in
     ) as span:
         yield span
     _obs.histogram("kernels.wall_ms").observe((_obs.monotonic_ns() - t0) / 1e6)
 
 
-class BlockedCSR:
-    """A CSR matrix tiled into contiguous row blocks.
+def _each(op: Any, on_csr: Callable, on_array: Callable) -> Any:
+    """Apply *on_csr* / *on_array* to one operand (or its CSR refs / array refs)."""
+    if op is None:
+        return None
+    if isinstance(op, (list, tuple)):
+        return [_each(p, on_csr, on_array) for p in op]
+    if isinstance(op, (CSRMatrix, _shm.CSRRef)):
+        return on_csr(op)
+    return on_array(op)
 
-    Blocks are plain :class:`CSRMatrix` instances sharing the parent's column
-    range, so every serial kernel runs on a block unchanged — the engine adds
-    scheduling, not new math.
+
+def _leaves(operands: tuple) -> Iterator[Any]:
+    """Every CSR matrix and dense array inside *operands*."""
+    for op in operands:
+        if isinstance(op, (list, tuple)):
+            yield from _leaves(op)
+        elif op is not None:
+            yield op
+
+
+def _nnz(ops: tuple) -> int:
+    return sum(leaf.nnz for leaf in _leaves(ops) if isinstance(leaf, CSRMatrix))
+
+
+ROWS = "rows"  # row-sliced per block
+WHOLE = "whole"  # broadcast whole to every block
+EXTRA = "extra"  # a plain argument (semiring, monoid, flag), shipped as-is
+
+
+@dataclass(frozen=True)
+class BlockedKernel:
+    """One blocked kernel: how a serial kernel is cut into row blocks.
+
+    ``layout`` names every positional argument of ``serial`` in order:
+    :data:`ROWS` and :data:`WHOLE` slots take the operands, :data:`EXTRA`
+    slots take the extra arguments.  ``dtype(operands, extra)`` is the
+    result dtype CSR parts are cast to before assembly — the serial
+    kernel's own rule, since a block whose share of the work is empty may
+    come back with a different dtype.  Rows without a dtype rule return
+    dense parts, concatenated as they are.
     """
 
-    __slots__ = ("shape", "row_starts", "blocks")
-
-    def __init__(
-        self,
-        shape: tuple[int, int],
-        row_starts: np.ndarray,
-        blocks: list[CSRMatrix],
-    ) -> None:
-        self.shape = (int(shape[0]), int(shape[1]))
-        self.row_starts = np.asarray(row_starts, dtype=np.int64)
-        self.blocks = list(blocks)
-        if self.row_starts.ndim != 1 or self.row_starts.size != len(self.blocks) + 1:
-            raise SparseFormatError(
-                f"row_starts needs n_blocks+1 entries, got {self.row_starts.size} "
-                f"for {len(self.blocks)} blocks"
-            )
-        if self.row_starts[0] != 0 or self.row_starts[-1] != self.shape[0]:
-            raise SparseFormatError("row_starts must span [0, n_rows]")
-        if np.any(np.diff(self.row_starts) < 0):
-            raise SparseFormatError("row_starts must be non-decreasing")
-        for k, blk in enumerate(self.blocks):
-            span = int(self.row_starts[k + 1] - self.row_starts[k])
-            if blk.shape != (span, self.shape[1]):
-                raise SparseFormatError(
-                    f"block {k} has shape {blk.shape}, expected {(span, self.shape[1])}"
-                )
-
-    # ------------------------------------------------------------------ #
-    # construction / reassembly
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_csr(cls, csr: CSRMatrix, block_rows: int | None = None) -> "BlockedCSR":
-        """Tile *csr* into blocks of *block_rows* rows (heuristic when None).
-
-        A ``block_rows`` larger than the matrix yields a single block — the
-        degenerate tiling is valid and equivalent to the serial layout.
-        """
-        if block_rows is None:
-            cfg = get_config()
-            block_rows = choose_block_rows(
-                csr.shape[0], csr.nnz, cfg.workers, cfg.block_rows
-            )
-        if block_rows < 1:
-            raise SparseFormatError(f"block_rows must be >= 1, got {block_rows}")
-        starts = _row_starts(csr.shape[0], int(block_rows))
-        blocks = [
-            _slice_rows(csr, int(r0), int(r1))
-            for r0, r1 in zip(starts[:-1], starts[1:])
-        ]
-        return cls(csr.shape, starts, blocks)
-
-    def to_csr(self) -> CSRMatrix:
-        """Reassemble the blocks into one canonical :class:`CSRMatrix`."""
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        offset = 0
-        for k, blk in enumerate(self.blocks):
-            r0 = int(self.row_starts[k])
-            r1 = int(self.row_starts[k + 1])
-            indptr[r0 + 1 : r1 + 1] = blk.indptr[1:] + offset
-            offset += blk.nnz
-        if self.blocks:
-            indices = np.concatenate([b.indices for b in self.blocks])
-            data = np.concatenate([b.data for b in self.blocks])
-        else:  # zero-row matrix
-            indices = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=np.int64)
-        return CSRMatrix(self.shape, indptr, indices, data, _trusted=True)
-
-    # ------------------------------------------------------------------ #
-    # basics
-    # ------------------------------------------------------------------ #
+    name: str
+    serial: Callable
+    layout: tuple[str, ...]
+    dtype: Callable | None = None
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
+    def sliced(self) -> tuple[bool, ...]:
+        return tuple(slot == ROWS for slot in self.layout if slot != EXTRA)
 
-    @property
-    def nnz(self) -> int:
-        return sum(b.nnz for b in self.blocks)
-
-    def block(self, k: int) -> CSRMatrix:
-        """The *k*-th row block."""
-        return self.blocks[k]
-
-    def block_spans(self) -> list[tuple[int, int]]:
-        """``(row_start, row_end)`` of every block."""
-        return [
-            (int(r0), int(r1))
-            for r0, r1 in zip(self.row_starts[:-1], self.row_starts[1:])
-        ]
-
-    def __repr__(self) -> str:
-        return (
-            f"BlockedCSR(shape={self.shape}, n_blocks={self.n_blocks}, nnz={self.nnz})"
+    def block(self, operands: tuple, r0: int, r1: int) -> tuple:
+        """*operands* as one block sees them: row-sliced slots cut to ``[r0, r1)``."""
+        return tuple(
+            _each(op, lambda c: _slice_rows(c, r0, r1), lambda a: a[r0:r1]) if cut else op
+            for op, cut in zip(operands, self.sliced)
         )
 
-    # ------------------------------------------------------------------ #
-    # blocked kernels
-    # ------------------------------------------------------------------ #
+    def call(self, operands: tuple, extra: tuple) -> Any:
+        ops, more = iter(operands), iter(extra)
+        return self.serial(*(next(more if slot == EXTRA else ops) for slot in self.layout))
 
-    def mxm(
-        self,
-        other: CSRMatrix,
-        semiring: Semiring = PLUS_TIMES,
-        config: RuntimeConfig | None = None,
-    ) -> "BlockedCSR":
-        """Blocked semiring product ``C = A @ B``; blocks keep their tiling."""
-        if self.shape[1] != other.shape[0]:
-            raise SparseFormatError(
-                f"inner dimension mismatch: {self.shape} @ {other.shape}"
-            )
-        cfg = get_config() if config is None else config
-        with _kernel_obs("blocked_mxm", cfg, self.nnz + other.nnz) as span:
-            span.set(blocks=self.n_blocks)
-            parts = get_executor(cfg).map(
-                _mxm_task,
-                [(blk, other, semiring) for blk in self.blocks],
-                label=f"mxm ({self.n_blocks} blocks)",
-            )
-            out_dtype = _mult_dtype(semiring.mult, self.blocks, other)
-            parts = [_cast_data(p, out_dtype) for p in parts]
-            out = BlockedCSR((self.shape[0], other.shape[1]), self.row_starts, parts)
-            span.set(nnz_out=out.nnz)
-            return out
 
-    def mxv(
-        self,
-        x: np.ndarray,
-        semiring: Semiring = PLUS_TIMES,
-        config: RuntimeConfig | None = None,
-    ) -> np.ndarray:
-        """Blocked matrix-vector product (dense input and output)."""
-        x = np.asarray(x)
-        if x.shape != (self.shape[1],):
-            raise SparseFormatError(f"vector length {x.shape} != {(self.shape[1],)}")
-        cfg = get_config() if config is None else config
-        with _kernel_obs("blocked_mxv", cfg, self.nnz) as span:
-            span.set(blocks=self.n_blocks)
-            parts = get_executor(cfg).map(
-                _mxv_task,
-                [(blk, x, semiring) for blk in self.blocks],
-                label=f"mxv ({self.n_blocks} blocks)",
+def _mxm_dtype(operands: tuple, extra: tuple) -> np.dtype:
+    return _sparse._mxm_out_dtype(operands[0], operands[1], extra[0].mult)
+
+
+def _union_dtype(operands: tuple, extra: tuple) -> np.dtype:
+    return np.result_type(operands[0].dtype, operands[1].dtype)
+
+
+def _union_all_dtype(operands: tuple, extra: tuple) -> np.dtype:
+    return np.result_type(*(p.dtype for p in operands[0]))
+
+
+def _intersect_dtype(operands: tuple, extra: tuple) -> np.dtype:
+    return np.asarray(extra[0](operands[0].data[:1], operands[1].data[:1])).dtype
+
+
+KERNELS: dict[str, BlockedKernel] = {
+    k.name: k
+    for k in (
+        BlockedKernel("parallel_mxm", CSRMatrix._mxm_serial, (ROWS, WHOLE, EXTRA), _mxm_dtype),
+        BlockedKernel("parallel_mxv", CSRMatrix._mxv_serial, (ROWS, WHOLE, EXTRA)),
+        BlockedKernel("parallel_ewise_union", CSRMatrix._ewise_union_serial,
+                      (ROWS, ROWS, EXTRA), _union_dtype),
+        BlockedKernel("parallel_ewise_intersect", CSRMatrix._ewise_intersect_serial,
+                      (ROWS, ROWS, EXTRA), _intersect_dtype),
+        BlockedKernel("parallel_masked_mxm", _sparse._masked_mxm_serial,
+                      (ROWS, WHOLE, EXTRA, ROWS), _mxm_dtype),
+        BlockedKernel("parallel_masked_mxv", _sparse._masked_mxv_serial,
+                      (ROWS, WHOLE, EXTRA, ROWS)),
+        BlockedKernel("parallel_masked_intersect", _sparse._masked_intersect_serial,
+                      (ROWS, ROWS, EXTRA, ROWS, EXTRA), _intersect_dtype),
+        BlockedKernel("parallel_union_all", _sparse._union_all_serial,
+                      (ROWS, EXTRA, ROWS, EXTRA), _union_all_dtype),
+        # cuts triples by index range, not rows: see parallel_coalesce
+        BlockedKernel("parallel_coalesce", _sparse._coalesce_core,
+                      (ROWS, ROWS, ROWS, EXTRA, EXTRA)),
+    )
+}
+
+
+def _block_task(args: tuple) -> Any:
+    """Run one block.  On the shm route, *rows* is the block's range and
+    *operands* are segment refs: attach, then cut the rows here."""
+    kernel, operands, extra, rows = args
+    if rows is not None:
+        attached = tuple(_each(ref, _shm.attach_csr, _shm.attach_array) for ref in operands)
+        operands = kernel.block(attached, *rows)
+    return kernel.call(operands, extra)
+
+
+def _map_blocks(
+    kernel: BlockedKernel, operands: tuple, extra: tuple, spans: list[tuple[int, int]],
+    cfg: RuntimeConfig, span: "_trace.Span | _trace.NullSpan",
+) -> list:
+    """Ship every ``[lo, hi)`` block of *operands* to the executor, one task each."""
+    executor = get_executor(cfg)
+    leaves = _leaves(operands)
+    nbytes = sum(_shm.csr_nbytes(x) if isinstance(x, CSRMatrix) else x.nbytes for x in leaves)
+    if cfg.use_shm(int(nbytes)):
+        span.set(route="shm", blocks=len(spans))
+        with _shm.OperandLease() as lease:
+            refs = tuple(_each(op, lease.export_csr, lease.export_array) for op in operands)
+            tasks = [(kernel, refs, extra, (lo, hi)) for lo, hi in spans]
+            return executor.map(
+                _block_task, tasks, label=f"{kernel.name} ({len(tasks)} shm blocks)"
             )
-            out = np.concatenate(parts) if parts else np.empty(0)
+    span.set(route="pickle", blocks=len(spans))
+    tasks = [(kernel, kernel.block(operands, lo, hi), extra, None) for lo, hi in spans]
+    return executor.map(_block_task, tasks, label=f"{kernel.name} ({len(tasks)} blocks)")
+
+
+def _assemble(parts: list[CSRMatrix], dtype: np.dtype) -> CSRMatrix:
+    """Stack row-block results (full column range each) into one CSR."""
+    offsets = np.cumsum([0] + [p.nnz for p in parts[:-1]], dtype=np.int64)
+    indptr = np.concatenate([[0]] + [p.indptr[1:] + off for p, off in zip(parts, offsets)])
+    indices = np.concatenate([p.indices for p in parts])
+    data = np.concatenate([p.data.astype(dtype, copy=False) for p in parts])
+    return CSRMatrix((indptr.size - 1, parts[0].shape[1]), indptr, indices, data, _trusted=True)
+
+
+def run_blocked(
+    kernel: BlockedKernel, operands: tuple, extra: tuple, config: RuntimeConfig | None = None
+) -> Any:
+    """Run *kernel* over row blocks of *operands*; bit-identical to its serial call.
+
+    Operand shapes are not checked here: the planner's dispatchers check
+    them before they gate a call into this engine.
+    """
+    cfg = get_config() if config is None else config
+    work = _nnz(tuple(op for op, cut in zip(operands, kernel.sliced) if cut))
+    n_rows = next(_leaves(operands)).shape[0]
+    starts = _row_partition(n_rows, work, cfg.workers, cfg.block_rows)
+    spans = [(int(r0), int(r1)) for r0, r1 in zip(starts[:-1], starts[1:])]
+    with _kernel_obs(kernel.name, cfg, _nnz(operands)) as span:
+        parts = _map_blocks(kernel, operands, extra, spans, cfg, span)
+        if kernel.dtype is None:
+            out = np.concatenate(parts)
             if span is not _trace.NULL_SPAN:  # count_nonzero is O(n); trace-only
                 span.set(nnz_out=int(np.count_nonzero(out)))
             return out
-
-
-# ---------------------------------------------------------------------- #
-# executor task payloads (module-level so the process backend can pickle)
-# ---------------------------------------------------------------------- #
-
-
-def _mxm_task(args: tuple[CSRMatrix, CSRMatrix, Semiring]) -> CSRMatrix:
-    a_block, b, semiring = args
-    return a_block._mxm_serial(b, semiring)
-
-
-def _mxv_task(args: tuple[CSRMatrix, np.ndarray, Semiring]) -> np.ndarray:
-    block, x, semiring = args
-    return block._mxv_serial(x, semiring)
-
-
-def _ewise_union_task(args: tuple[CSRMatrix, CSRMatrix, Monoid]) -> CSRMatrix:
-    a_block, b_block, add = args
-    return a_block._ewise_union_serial(b_block, add)
-
-
-def _ewise_intersect_task(args) -> CSRMatrix:  # noqa: ANN001 - mult is any callable
-    a_block, b_block, mult = args
-    return a_block._ewise_intersect_serial(b_block, mult)
-
-
-def _coalesce_task(args: tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int], Monoid]):
-    rows, cols, vals, shape, add = args
-    return _sparse._coalesce_core(rows, cols, vals, shape, add)
-
-
-def _masked_mxm_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_block, b, semiring, mask_block, out_dtype = args
-    return _sparse._masked_mxm_serial(a_block, b, semiring, mask_block, out_dtype)
-
-
-def _masked_mxv_task(args) -> np.ndarray:  # noqa: ANN001
-    a_block, x, semiring, allow_block = args
-    return _sparse._masked_mxv_serial(a_block, x, semiring, allow_block)
-
-
-def _masked_intersect_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_block, b_block, mult, mask_block, complement = args
-    return _sparse._masked_intersect_serial(a_block, b_block, mult, mask_block, complement)
-
-
-def _union_all_task(args) -> CSRMatrix:  # noqa: ANN001
-    part_blocks, add, mask_block, complement = args
-    return _sparse._union_all_serial(part_blocks, add, mask_block, complement)
-
-
-# ---------------------------------------------------------------------- #
-# shared-memory task payloads (process backend above the byte threshold)
-#
-# Payloads carry only segment refs plus the block's ``[r0, r1)`` row range;
-# the worker attaches (cached per process, see repro.runtime.shm), slices its
-# rows zero-copy with the same ``_slice_rows`` the parent-side tiling uses,
-# and runs the identical serial kernel — so each block's output matches the
-# pickle path bit-for-bit and assembly is unchanged.
-# ---------------------------------------------------------------------- #
-
-
-def _shm_mxm_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_ref, b_ref, r0, r1, semiring = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    return a_block._mxm_serial(_shm.attach_csr(b_ref), semiring)
-
-
-def _shm_mxv_task(args) -> np.ndarray:  # noqa: ANN001
-    a_ref, x_ref, r0, r1, semiring = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    return a_block._mxv_serial(_shm.attach_array(x_ref), semiring)
-
-
-def _shm_ewise_union_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_ref, b_ref, r0, r1, add = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    b_block = _slice_rows(_shm.attach_csr(b_ref), r0, r1)
-    return a_block._ewise_union_serial(b_block, add)
-
-
-def _shm_ewise_intersect_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_ref, b_ref, r0, r1, mult = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    b_block = _slice_rows(_shm.attach_csr(b_ref), r0, r1)
-    return a_block._ewise_intersect_serial(b_block, mult)
-
-
-def _shm_coalesce_task(args):  # noqa: ANN001
-    r_ref, c_ref, v_ref, lo, hi, shape, add = args
-    rows = _shm.attach_array(r_ref)[lo:hi]
-    cols = _shm.attach_array(c_ref)[lo:hi]
-    vals = _shm.attach_array(v_ref)[lo:hi]
-    return _sparse._coalesce_core(rows, cols, vals, shape, add)
-
-
-def _shm_masked_mxm_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_ref, b_ref, mask_ref, r0, r1, semiring, out_dtype = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    mask_block = _slice_rows(_shm.attach_csr(mask_ref), r0, r1)
-    return _sparse._masked_mxm_serial(
-        a_block, _shm.attach_csr(b_ref), semiring, mask_block, out_dtype
-    )
-
-
-def _shm_masked_mxv_task(args) -> np.ndarray:  # noqa: ANN001
-    a_ref, x_ref, allow_ref, r0, r1, semiring = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    allow_block = _shm.attach_array(allow_ref)[r0:r1]
-    return _sparse._masked_mxv_serial(a_block, _shm.attach_array(x_ref), semiring, allow_block)
-
-
-def _shm_masked_intersect_task(args) -> CSRMatrix:  # noqa: ANN001
-    a_ref, b_ref, mask_ref, r0, r1, mult, complement = args
-    a_block = _slice_rows(_shm.attach_csr(a_ref), r0, r1)
-    b_block = _slice_rows(_shm.attach_csr(b_ref), r0, r1)
-    mask_block = _slice_rows(_shm.attach_csr(mask_ref), r0, r1)
-    return _sparse._masked_intersect_serial(a_block, b_block, mult, mask_block, complement)
-
-
-def _shm_union_all_task(args) -> CSRMatrix:  # noqa: ANN001
-    part_refs, add, mask_ref, complement, r0, r1 = args
-    part_blocks = [_slice_rows(_shm.attach_csr(ref), r0, r1) for ref in part_refs]
-    mask_block = None if mask_ref is None else _slice_rows(_shm.attach_csr(mask_ref), r0, r1)
-    return _sparse._union_all_serial(part_blocks, add, mask_block, complement)
-
-
-# ---------------------------------------------------------------------- #
-# dtype normalisation
-# ---------------------------------------------------------------------- #
-
-
-def _mult_dtype(mult, blocks: list[CSRMatrix], other: CSRMatrix) -> np.dtype:  # noqa: ANN001
-    """The dtype the serial kernel's product values would carry.
-
-    Blocks whose expansion is empty short-circuit to ``result_type(a, b)``
-    in the serial kernel, which can disagree with the multiplicative
-    operator's output dtype (e.g. ``land`` on int64 data yields bool).  A
-    one-element probe pins the authoritative dtype so every block matches the
-    serial result exactly.
-    """
-    for blk in blocks:
-        if blk.nnz and other.nnz:
-            return np.asarray(mult(blk.data[:1], other.data[:1])).dtype
-    return np.result_type(
-        blocks[0].dtype if blocks else np.int64, other.dtype
-    )
-
-
-def _pair_dtype(mult, a: CSRMatrix, b: CSRMatrix) -> np.dtype:  # noqa: ANN001
-    """Whole-matrix form of :func:`_mult_dtype` for the shared-memory path.
-
-    Equivalent by construction: the first non-empty row block's leading value
-    *is* ``a.data[0]`` (earlier blocks are empty), and empty blocks inherit
-    the parent dtype, so both probes pin the same authoritative dtype.
-    """
-    if a.nnz and b.nnz:
-        return np.asarray(mult(a.data[:1], b.data[:1])).dtype
-    return np.result_type(a.dtype, b.dtype)
-
-
-def _cast_data(part: CSRMatrix, dtype: np.dtype) -> CSRMatrix:
-    if part.dtype == dtype:
-        return part
-    return CSRMatrix(
-        part.shape,
-        part.indptr,
-        part.indices,
-        part.data.astype(dtype, copy=False),
-        _trusted=True,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# parallel entry points (dispatch targets of repro.assoc.sparse)
-# ---------------------------------------------------------------------- #
-
-
-def _blocked_operand(a: CSRMatrix, work: int, cfg: RuntimeConfig) -> BlockedCSR:
-    block_rows = choose_block_rows(a.shape[0], work, cfg.workers, cfg.block_rows)
-    return BlockedCSR.from_csr(a, block_rows)
-
-
-def _shared_starts(n_rows: int, work: int, cfg: RuntimeConfig) -> np.ndarray:
-    """The row partition both dispatch paths use for an *n_rows* operand."""
-    block_rows = choose_block_rows(n_rows, work, cfg.workers, cfg.block_rows)
-    return _row_starts(n_rows, block_rows)
+        out = _assemble(parts, kernel.dtype(operands, extra))
+        span.set(nnz_out=out.nnz)
+        return out
 
 
 def parallel_mxm(
     a: CSRMatrix, b: CSRMatrix, semiring: Semiring, config: RuntimeConfig | None = None
 ) -> CSRMatrix:
-    """Row-blocked parallel ESC product, bit-identical to ``a.mxm(b)`` serial."""
-    cfg = get_config() if config is None else config
-    with _kernel_obs("parallel_mxm", cfg, a.nnz + b.nnz) as span:
-        if cfg.use_shm(_shm.csr_nbytes(a) + _shm.csr_nbytes(b)):
-            if a.shape[1] != b.shape[0]:
-                raise SparseFormatError(f"inner dimension mismatch: {a.shape} @ {b.shape}")
-            starts = _shared_starts(a.shape[0], a.nnz, cfg)
-            span.set(blocks=len(starts) - 1, route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                b_ref = lease.export_csr(b)
-                tasks = [
-                    (a_ref, b_ref, int(r0), int(r1), semiring)
-                    for r0, r1 in zip(starts[:-1], starts[1:])
-                ]
-                parts = get_executor(cfg).map(
-                    _shm_mxm_task, tasks, label=f"parallel_mxm ({len(tasks)} shm blocks)"
-                )
-            out_dtype = _pair_dtype(semiring.mult, a, b)
-            parts = [_cast_data(p, out_dtype) for p in parts]
-            out = BlockedCSR((a.shape[0], b.shape[1]), starts, parts).to_csr()
-        else:
-            blocked = _blocked_operand(a, a.nnz, cfg)
-            span.set(blocks=blocked.n_blocks, route="pickle")
-            out = blocked.mxm(b, semiring, cfg).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out
+    """Row-blocked ESC product, bit-identical to the serial ``a.mxm(b)``."""
+    return run_blocked(KERNELS["parallel_mxm"], (a, b), (semiring,), config)
 
 
 def parallel_mxv(
     a: CSRMatrix, x: np.ndarray, semiring: Semiring, config: RuntimeConfig | None = None
 ) -> np.ndarray:
-    """Row-blocked parallel matrix-vector product."""
-    cfg = get_config() if config is None else config
-    x_arr = np.asarray(x)
-    with _kernel_obs("parallel_mxv", cfg, a.nnz) as span:
-        if cfg.use_shm(_shm.csr_nbytes(a) + int(x_arr.nbytes)):
-            if x_arr.shape != (a.shape[1],):
-                raise SparseFormatError(f"vector length {x_arr.shape} != {(a.shape[1],)}")
-            starts = _shared_starts(a.shape[0], a.nnz, cfg)
-            span.set(blocks=len(starts) - 1, route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                x_ref = lease.export_array(x_arr)
-                tasks = [
-                    (a_ref, x_ref, int(r0), int(r1), semiring)
-                    for r0, r1 in zip(starts[:-1], starts[1:])
-                ]
-                parts = get_executor(cfg).map(
-                    _shm_mxv_task, tasks, label=f"parallel_mxv ({len(tasks)} shm blocks)"
-                )
-            return np.concatenate(parts) if parts else np.empty(0)
-        span.set(route="pickle")
-        return _blocked_operand(a, a.nnz, cfg).mxv(x_arr, semiring, cfg)
+    """Row-blocked matrix-vector product."""
+    return run_blocked(KERNELS["parallel_mxv"], (a, np.asarray(x)), (semiring,), config)
 
 
 def parallel_ewise_union(
     a: CSRMatrix, b: CSRMatrix, add: Monoid, config: RuntimeConfig | None = None
 ) -> CSRMatrix:
     """Row-blocked element-wise union: both operands share one tiling."""
-    cfg = get_config() if config is None else config
-    starts = _shared_starts(a.shape[0], a.nnz + b.nnz, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    with _kernel_obs("parallel_ewise_union", cfg, a.nnz + b.nnz) as span:
-        span.set(blocks=len(spans))
-        if cfg.use_shm(_shm.csr_nbytes(a) + _shm.csr_nbytes(b)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                b_ref = lease.export_csr(b)
-                tasks = [(a_ref, b_ref, int(r0), int(r1), add) for r0, r1 in spans]
-                parts = get_executor(cfg).map(
-                    _shm_ewise_union_task,
-                    tasks,
-                    label=f"parallel_ewise_union ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (_slice_rows(a, int(r0), int(r1)), _slice_rows(b, int(r0), int(r1)), add)
-                for r0, r1 in spans
-            ]
-            parts = get_executor(cfg).map(
-                _ewise_union_task, pickled, label=f"parallel_ewise_union ({len(pickled)} blocks)"
-            )
-        out_dtype = np.result_type(a.dtype, b.dtype)
-        parts = [_cast_data(p, out_dtype) for p in parts]
-        out = BlockedCSR(a.shape, starts, parts).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out
+    return run_blocked(KERNELS["parallel_ewise_union"], (a, b), (add,), config)
 
 
 def parallel_ewise_intersect(
     a: CSRMatrix, b: CSRMatrix, mult, config: RuntimeConfig | None = None  # noqa: ANN001
 ) -> CSRMatrix:
     """Row-blocked element-wise intersection."""
-    cfg = get_config() if config is None else config
-    starts = _shared_starts(a.shape[0], a.nnz + b.nnz, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    with _kernel_obs("parallel_ewise_intersect", cfg, a.nnz + b.nnz) as span:
-        span.set(blocks=len(spans))
-        if cfg.use_shm(_shm.csr_nbytes(a) + _shm.csr_nbytes(b)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                b_ref = lease.export_csr(b)
-                tasks = [(a_ref, b_ref, int(r0), int(r1), mult) for r0, r1 in spans]
-                parts = get_executor(cfg).map(
-                    _shm_ewise_intersect_task,
-                    tasks,
-                    label=f"parallel_ewise_intersect ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (_slice_rows(a, int(r0), int(r1)), _slice_rows(b, int(r0), int(r1)), mult)
-                for r0, r1 in spans
-            ]
-            parts = get_executor(cfg).map(
-                _ewise_intersect_task,
-                pickled,
-                label=f"parallel_ewise_intersect ({len(pickled)} blocks)",
-            )
-        out_dtype = np.asarray(mult(a.data[:1], b.data[:1])).dtype
-        parts = [_cast_data(p, out_dtype) for p in parts]
-        out = BlockedCSR(a.shape, starts, parts).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out
+    return run_blocked(KERNELS["parallel_ewise_intersect"], (a, b), (mult,), config)
+
+
+def parallel_masked_mxm(
+    a: CSRMatrix, b: CSRMatrix, semiring: Semiring, mask: CSRMatrix,
+    config: RuntimeConfig | None = None,
+) -> CSRMatrix:
+    """Row-blocked fused masked product; the mask shares ``a``'s row tiling."""
+    return run_blocked(KERNELS["parallel_masked_mxm"], (a, b, mask), (semiring,), config)
+
+
+def parallel_masked_mxv(
+    a: CSRMatrix, x: np.ndarray, semiring: Semiring, allow: np.ndarray,
+    config: RuntimeConfig | None = None,
+) -> np.ndarray:
+    """Row-blocked masked matrix-vector product."""
+    ops = (a, np.asarray(x), np.asarray(allow))
+    return run_blocked(KERNELS["parallel_masked_mxv"], ops, (semiring,), config)
+
+
+def parallel_masked_intersect(
+    a: CSRMatrix, b: CSRMatrix, mult, mask: CSRMatrix, complement: bool,  # noqa: ANN001
+    config: RuntimeConfig | None = None,
+) -> CSRMatrix:
+    """Row-blocked fused masked element-wise intersection."""
+    kernel = KERNELS["parallel_masked_intersect"]
+    return run_blocked(kernel, (a, b, mask), (mult, complement), config)
+
+
+def parallel_union_all(
+    parts: list[CSRMatrix], add: Monoid, mask: CSRMatrix | None, complement: bool,
+    config: RuntimeConfig | None = None,
+) -> CSRMatrix:
+    """Row-blocked n-ary fused union (optionally masked) over one shared tiling."""
+    ops = (list(parts), mask)
+    return run_blocked(KERNELS["parallel_union_all"], ops, (add, complement), config)
 
 
 def parallel_coalesce(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    shape: tuple[int, int],
-    add: Monoid,
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int], add: Monoid,
     config: RuntimeConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition triples by row block, coalesce blocks concurrently, concat.
@@ -608,227 +334,14 @@ def parallel_coalesce(
         # zero triples would leave every block empty below (nothing to
         # concatenate); the serial core already handles that shape exactly
         return _sparse._coalesce_core(rows, cols, vals, shape, add)
-    with _kernel_obs("parallel_coalesce", cfg, int(rows.size)) as span:
+    kernel = KERNELS["parallel_coalesce"]
+    with _kernel_obs(kernel.name, cfg, int(rows.size)) as span:
         block_id = rows // np.int64(block_rows)
         order = np.argsort(block_id, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        counts = np.bincount(block_id, minlength=n_blocks)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
+        triples = (rows[order], cols[order], vals[order])
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(block_id, minlength=n_blocks))])
         spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        span.set(blocks=len(spans))
-        if cfg.use_shm(int(rows.nbytes + cols.nbytes + vals.nbytes)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                r_ref = lease.export_array(rows)
-                c_ref = lease.export_array(cols)
-                v_ref = lease.export_array(vals)
-                tasks = [(r_ref, c_ref, v_ref, lo, hi, shape, add) for lo, hi in spans]
-                parts = get_executor(cfg).map(
-                    _shm_coalesce_task, tasks, label=f"parallel_coalesce ({len(tasks)} shm blocks)"
-                )
-        else:
-            pickled = [(rows[lo:hi], cols[lo:hi], vals[lo:hi], shape, add) for lo, hi in spans]
-            parts = get_executor(cfg).map(
-                _coalesce_task, pickled, label=f"parallel_coalesce ({len(pickled)} blocks)"
-            )
-        out_r = np.concatenate([p[0] for p in parts])
-        out_c = np.concatenate([p[1] for p in parts])
-        out_v = np.concatenate([p[2] for p in parts])
+        parts = _map_blocks(kernel, triples, (shape, add), spans, cfg, span)
+        out_r, out_c, out_v = (np.concatenate(column) for column in zip(*parts))
         span.set(nnz_out=int(out_r.size))
         return out_r, out_c, out_v
-
-
-# ---------------------------------------------------------------------- #
-# masked parallel entry points (dispatch targets of repro.assoc.planner)
-#
-# The mask shares the operand's row tiling, so each block task sees exactly
-# the mask rows it owns; the bit-identity argument is unchanged — masked
-# filtering is per-row, so a row partition of the masked kernel is a
-# partition of the masked serial output.
-# ---------------------------------------------------------------------- #
-
-
-def parallel_masked_mxm(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    semiring: Semiring,
-    mask: CSRMatrix,
-    config: RuntimeConfig | None = None,
-) -> CSRMatrix:
-    """Row-blocked fused masked product, bit-identical to the serial masked
-    kernel (and therefore to eager-then-filter)."""
-    cfg = get_config() if config is None else config
-    starts = _shared_starts(a.shape[0], a.nnz, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    out_dtype = _sparse._mxm_out_dtype(a, b, semiring.mult)
-    with _kernel_obs("parallel_masked_mxm", cfg, a.nnz + b.nnz) as span:
-        span.set(blocks=len(spans), mask_nnz=mask.nnz)
-        if cfg.use_shm(_shm.csr_nbytes(a) + _shm.csr_nbytes(b) + _shm.csr_nbytes(mask)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                b_ref = lease.export_csr(b)
-                mask_ref = lease.export_csr(mask)
-                tasks = [
-                    (a_ref, b_ref, mask_ref, int(r0), int(r1), semiring, out_dtype)
-                    for r0, r1 in spans
-                ]
-                parts = get_executor(cfg).map(
-                    _shm_masked_mxm_task,
-                    tasks,
-                    label=f"parallel_masked_mxm ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (_slice_rows(a, int(r0), int(r1)), b, semiring, _slice_rows(mask, int(r0), int(r1)), out_dtype)
-                for r0, r1 in spans
-            ]
-            parts = get_executor(cfg).map(
-                _masked_mxm_task, pickled, label=f"parallel_masked_mxm ({len(pickled)} blocks)"
-            )
-        parts = [_cast_data(p, out_dtype) for p in parts]
-        out = BlockedCSR((a.shape[0], b.shape[1]), starts, parts).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out
-
-
-def parallel_masked_mxv(
-    a: CSRMatrix,
-    x: np.ndarray,
-    semiring: Semiring,
-    allow: np.ndarray,
-    config: RuntimeConfig | None = None,
-) -> np.ndarray:
-    """Row-blocked masked matrix-vector product."""
-    cfg = get_config() if config is None else config
-    starts = _shared_starts(a.shape[0], a.nnz, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    x_arr = np.asarray(x)
-    allow_arr = np.asarray(allow)
-    with _kernel_obs("parallel_masked_mxv", cfg, a.nnz) as span:
-        span.set(blocks=len(spans))
-        if cfg.use_shm(_shm.csr_nbytes(a) + int(x_arr.nbytes + allow_arr.nbytes)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                x_ref = lease.export_array(x_arr)
-                allow_ref = lease.export_array(allow_arr)
-                tasks = [(a_ref, x_ref, allow_ref, int(r0), int(r1), semiring) for r0, r1 in spans]
-                parts = get_executor(cfg).map(
-                    _shm_masked_mxv_task,
-                    tasks,
-                    label=f"parallel_masked_mxv ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (_slice_rows(a, int(r0), int(r1)), x_arr, semiring, allow_arr[int(r0):int(r1)])
-                for r0, r1 in spans
-            ]
-            parts = get_executor(cfg).map(
-                _masked_mxv_task, pickled, label=f"parallel_masked_mxv ({len(pickled)} blocks)"
-            )
-        return np.concatenate(parts) if parts else np.empty(0)
-
-
-def parallel_masked_intersect(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    mult,  # noqa: ANN001
-    mask: CSRMatrix,
-    complement: bool,
-    config: RuntimeConfig | None = None,
-) -> CSRMatrix:
-    """Row-blocked fused masked element-wise intersection."""
-    cfg = get_config() if config is None else config
-    starts = _shared_starts(a.shape[0], a.nnz + b.nnz, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    with _kernel_obs("parallel_masked_intersect", cfg, a.nnz + b.nnz) as span:
-        span.set(blocks=len(spans), mask_nnz=mask.nnz)
-        if cfg.use_shm(_shm.csr_nbytes(a) + _shm.csr_nbytes(b) + _shm.csr_nbytes(mask)):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                a_ref = lease.export_csr(a)
-                b_ref = lease.export_csr(b)
-                mask_ref = lease.export_csr(mask)
-                tasks = [
-                    (a_ref, b_ref, mask_ref, int(r0), int(r1), mult, complement)
-                    for r0, r1 in spans
-                ]
-                parts = get_executor(cfg).map(
-                    _shm_masked_intersect_task,
-                    tasks,
-                    label=f"parallel_masked_intersect ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (
-                    _slice_rows(a, int(r0), int(r1)),
-                    _slice_rows(b, int(r0), int(r1)),
-                    mult,
-                    _slice_rows(mask, int(r0), int(r1)),
-                    complement,
-                )
-                for r0, r1 in spans
-            ]
-            parts = get_executor(cfg).map(
-                _masked_intersect_task,
-                pickled,
-                label=f"parallel_masked_intersect ({len(pickled)} blocks)",
-            )
-        out_dtype = np.asarray(mult(a.data[:1], b.data[:1])).dtype
-        parts = [_cast_data(p, out_dtype) for p in parts]
-        out = BlockedCSR(a.shape, starts, parts).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out
-
-
-def parallel_union_all(
-    parts: list[CSRMatrix],
-    add: Monoid,
-    mask: CSRMatrix | None,
-    complement: bool,
-    config: RuntimeConfig | None = None,
-) -> CSRMatrix:
-    """Row-blocked n-ary fused union (optionally masked): every operand
-    shares one tiling; each block concatenates its slices and coalesces once."""
-    cfg = get_config() if config is None else config
-    shape = parts[0].shape
-    work = sum(p.nnz for p in parts)
-    starts = _shared_starts(shape[0], work, cfg)
-    spans = list(zip(starts[:-1], starts[1:]))
-    operand_bytes = sum(_shm.csr_nbytes(p) for p in parts) + (
-        0 if mask is None else _shm.csr_nbytes(mask)
-    )
-    with _kernel_obs("parallel_union_all", cfg, work) as span:
-        span.set(blocks=len(spans), parts=len(parts))
-        if cfg.use_shm(operand_bytes):
-            span.set(route="shm")
-            with _shm.OperandLease() as lease:
-                part_refs = tuple(lease.export_csr(p) for p in parts)
-                mask_ref = None if mask is None else lease.export_csr(mask)
-                tasks = [
-                    (part_refs, add, mask_ref, complement, int(r0), int(r1)) for r0, r1 in spans
-                ]
-                blocks = get_executor(cfg).map(
-                    _shm_union_all_task,
-                    tasks,
-                    label=f"parallel_union_all ({len(tasks)} shm blocks)",
-                )
-        else:
-            pickled = [
-                (
-                    [_slice_rows(p, int(r0), int(r1)) for p in parts],
-                    add,
-                    None if mask is None else _slice_rows(mask, int(r0), int(r1)),
-                    complement,
-                )
-                for r0, r1 in spans
-            ]
-            blocks = get_executor(cfg).map(
-                _union_all_task, pickled, label=f"parallel_union_all ({len(pickled)} blocks)"
-            )
-        out_dtype = np.result_type(*(p.dtype for p in parts))
-        blocks = [_cast_data(p, out_dtype) for p in blocks]
-        out = BlockedCSR(shape, starts, blocks).to_csr()
-        span.set(nnz_out=out.nnz)
-        return out

@@ -25,9 +25,10 @@ Fusion rules:
 * **union chain collapse** — ``A + B + C`` (same monoid) runs one
   concatenate + coalesce instead of two pairwise unions.
 
-Every dispatch point consults :func:`repro.runtime.config.parallel_config`,
-so fused masked kernels run on the same row-blocked executors as the eager
-paths — with the same bit-identical serial ≡ parallel guarantee.
+Every kernel dispatch goes through one gate, :func:`_gate`, so plain and
+fused masked kernels run on the same row-blocked engine
+(:mod:`repro.assoc.blocked`) with the same bit-identical serial ≡ parallel
+guarantee.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.assoc import blocked
 from repro.assoc import expr as E
+from repro.assoc.semiring import Monoid, Semiring
 from repro.assoc.sparse import (
     CSRMatrix,
     _masked_intersect_serial,
@@ -44,14 +47,15 @@ from repro.assoc.sparse import (
     _masked_mxv_serial,
     _masked_reduce_rows_serial,
     _native_masked_mxm,
+    _native_mxm,
     _takes_native,
     _union_all_serial,
     masked_select,
 )
-from repro.errors import ExpressionError
+from repro.errors import ExpressionError, SparseFormatError
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
-from repro.runtime.config import parallel_config
+from repro.runtime.config import RuntimeConfig, parallel_config
 
 __all__ = [
     "Step",
@@ -212,14 +216,66 @@ class Plan:
 # --------------------------------------------------------------------------- #
 # runtime-gated dispatch helpers
 #
-# Each helper asks ``parallel_config(work)`` whether the operation clears the
-# work-size floor, then hands the blocked entry point the active config.  The
-# blocked layer adds a second, orthogonal gate: on the ``process`` backend,
-# operands above ``RuntimeConfig.shm_min_bytes`` travel through shared-memory
-# segments (``repro.runtime.shm``) instead of being pickled per block task —
-# invisible here, because the shm path runs the same serial kernels over the
-# same row partition and so returns bit-identical results.
+# These eight helpers are the only place a planned kernel chooses between its
+# serial kernel and the row-blocked engine (``repro.assoc.blocked``): each
+# checks its operand shapes, then asks :func:`_gate`.  The serial branches
+# keep their early returns, the native scipy route and the route counters.
+# ``sparse.coalesce`` gates itself, because it runs below the planner.  How a
+# gated call travels (pickled row blocks, or shared-memory segments on the
+# ``process`` backend) is decided inside the blocked engine and is invisible
+# here: both routes run the same serial kernels over the same row partition.
 # --------------------------------------------------------------------------- #
+
+
+def _gate(work: int, n_rows: int) -> RuntimeConfig | None:
+    """The active config when *work* should run row-blocked, else ``None``."""
+    return parallel_config(work) if n_rows > 1 else None
+
+
+def _dispatch_mxm(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> CSRMatrix:
+    if a.shape[1] != b.shape[0]:
+        raise SparseFormatError(f"inner dimension mismatch: {a.shape} @ {b.shape}")
+    out_shape = (a.shape[0], b.shape[1])
+    if a.nnz == 0 or b.nnz == 0:
+        return CSRMatrix.empty(out_shape, np.result_type(a.dtype, b.dtype))
+    counts = b.row_nnz()[a.indices]  # products contributed by each A entry
+    total = int(counts.sum())
+    if total == 0:
+        return CSRMatrix.empty(out_shape, np.result_type(a.dtype, b.dtype))
+    cfg = _gate(total, a.shape[0])
+    if cfg is not None:
+        return blocked.parallel_mxm(a, b, semiring, cfg)
+    if _takes_native(a, b, semiring):
+        _obs.counter("assoc.route.native").inc()
+        return _native_mxm(a, b)
+    _obs.counter("assoc.route.esc").inc()
+    return a._mxm_serial(b, semiring, counts, total)
+
+
+def _dispatch_mxv(a: CSRMatrix, x: np.ndarray, semiring: Semiring) -> np.ndarray:
+    x = np.asarray(x)
+    if x.shape != (a.shape[1],):
+        raise SparseFormatError(f"vector length {x.shape} != {(a.shape[1],)}")
+    cfg = _gate(a.nnz, a.shape[0])
+    if cfg is not None:
+        return blocked.parallel_mxv(a, x, semiring, cfg)
+    return a._mxv_serial(x, semiring)
+
+
+def _dispatch_ewise_union(a: CSRMatrix, b: CSRMatrix, add: Monoid) -> CSRMatrix:
+    a._check_shape(b)
+    cfg = _gate(a.nnz + b.nnz, a.shape[0])
+    if cfg is not None:
+        return blocked.parallel_ewise_union(a, b, add, cfg)
+    return a._ewise_union_serial(b, add)
+
+
+def _dispatch_ewise_intersect(a: CSRMatrix, b: CSRMatrix, mult) -> CSRMatrix:  # noqa: ANN001
+    a._check_shape(b)
+    cfg = _gate(a.nnz + b.nnz, a.shape[0])
+    if cfg is not None:
+        return blocked.parallel_ewise_intersect(a, b, mult, cfg)
+    return a._ewise_intersect_serial(b, mult)
 
 
 def _dispatch_masked_mxm(
@@ -228,11 +284,9 @@ def _dispatch_masked_mxm(
     if a.shape[1] != b.shape[0]:
         raise ExpressionError(f"inner dimension mismatch: {a.shape} @ {b.shape}")
     work = int(b.row_nnz()[a.indices].sum()) if a.nnz and b.nnz else 0
-    cfg = parallel_config(work) if a.shape[0] > 1 else None
+    cfg = _gate(work, a.shape[0])
     if cfg is not None:
-        from repro.assoc.blocked import parallel_masked_mxm
-
-        return parallel_masked_mxm(a, b, semiring, mask, cfg)
+        return blocked.parallel_masked_mxm(a, b, semiring, mask, cfg)
     if _takes_native(a, b, semiring):
         _obs.counter("assoc.route.native").inc()
         return _native_masked_mxm(a, b, mask)
@@ -243,34 +297,27 @@ def _dispatch_masked_mxm(
 def _dispatch_union_all(
     parts: list[CSRMatrix], add, mask: CSRMatrix | None, complement: bool  # noqa: ANN001
 ) -> CSRMatrix:
-    work = sum(p.nnz for p in parts)
-    cfg = parallel_config(work) if parts[0].shape[0] > 1 else None
+    cfg = _gate(sum(p.nnz for p in parts), parts[0].shape[0])
     if cfg is not None:
-        from repro.assoc.blocked import parallel_union_all
-
-        return parallel_union_all(parts, add, mask, complement, cfg)
+        return blocked.parallel_union_all(parts, add, mask, complement, cfg)
     return _union_all_serial(parts, add, mask, complement)
 
 
 def _dispatch_masked_intersect(
     a: CSRMatrix, b: CSRMatrix, mult, mask: CSRMatrix, complement: bool  # noqa: ANN001
 ) -> CSRMatrix:
-    cfg = parallel_config(a.nnz + b.nnz) if a.shape[0] > 1 else None
+    cfg = _gate(a.nnz + b.nnz, a.shape[0])
     if cfg is not None:
-        from repro.assoc.blocked import parallel_masked_intersect
-
-        return parallel_masked_intersect(a, b, mult, mask, complement, cfg)
+        return blocked.parallel_masked_intersect(a, b, mult, mask, complement, cfg)
     return _masked_intersect_serial(a, b, mult, mask, complement)
 
 
 def _dispatch_masked_mxv(
     a: CSRMatrix, x: np.ndarray, semiring, allow: np.ndarray  # noqa: ANN001
 ) -> np.ndarray:
-    cfg = parallel_config(a.nnz) if a.shape[0] > 1 else None
+    cfg = _gate(a.nnz, a.shape[0])
     if cfg is not None:
-        from repro.assoc.blocked import parallel_masked_mxv
-
-        return parallel_masked_mxv(a, x, semiring, allow, cfg)
+        return blocked.parallel_masked_mxv(a, x, semiring, allow, cfg)
     return _masked_mxv_serial(a, x, semiring, allow)
 
 
@@ -340,9 +387,9 @@ def evaluate(
         a = evaluate(e.left, None, _rec=_rec)
         b = evaluate(e.right, None, _rec=_rec)
         if mask is None:
-            return _step(_rec, "mxm", lambda: a._mxm_dispatch(b, e.semiring))
+            return _step(_rec, "mxm", lambda: _dispatch_mxm(a, b, e.semiring))
         if mask.complement:
-            full = _step(_rec, "mxm", lambda: a._mxm_dispatch(b, e.semiring))
+            full = _step(_rec, "mxm", lambda: _dispatch_mxm(a, b, e.semiring))
             return _step(
                 _rec, "mask_filter", lambda: masked_select(full, mask.pattern, True)
             )
@@ -362,7 +409,7 @@ def evaluate(
                 return _step(
                     _rec,
                     "ewise_union",
-                    lambda: parts[0]._ewise_union_dispatch(parts[1], e.add),
+                    lambda: _dispatch_ewise_union(parts[0], parts[1], e.add),
                 )
             return _step(
                 _rec, "union_all", lambda: _dispatch_union_all(parts, e.add, None, False)
@@ -391,7 +438,7 @@ def evaluate(
             a = evaluate(e.left, None, _rec=_rec)
             b = evaluate(e.right, None, _rec=_rec)
             return _step(
-                _rec, "ewise_intersect", lambda: a._ewise_intersect_dispatch(b, e.mult)
+                _rec, "ewise_intersect", lambda: _dispatch_ewise_intersect(a, b, e.mult)
             )
         # mask pushdown: (A⟨M⟩ ⊗ B) == (A ⊗ B)⟨M⟩.  A leaf left operand is
         # filtered once, inline in the fused kernel; a compound left operand
@@ -428,7 +475,7 @@ def evaluate_vec(
     if isinstance(v, E.MxV):
         a = evaluate(v.mat, None, _rec=_rec)
         if allow is None:
-            return _step(_rec, "mxv", lambda: a._mxv_dispatch(v.x, v.semiring))
+            return _step(_rec, "mxv", lambda: _dispatch_mxv(a, v.x, v.semiring))
         return _step(
             _rec,
             "masked_mxv",

@@ -13,10 +13,11 @@ keeps the semiring generic: ``min.plus`` shortest paths and ``plus.times``
 packet counting share the code path.
 
 When the process opts in via :func:`repro.runtime.configure`, the heavy
-kernels (``coalesce``, ``mxm``, ``mxv``, the element-wise ops) transparently
-dispatch to the row-blocked parallel engine in :mod:`repro.assoc.blocked`.
-Blocked execution preserves the serial kernels' exact per-row term order, so
-both paths return bit-identical matrices.
+kernels run on the row-blocked parallel engine in :mod:`repro.assoc.blocked`:
+the planner (:mod:`repro.assoc.planner`) gates ``mxm``, ``mxv`` and the
+element-wise ops, and :func:`coalesce`, which runs below the planner, gates
+itself.  Blocked execution preserves the serial kernels' exact per-row term
+order, so both paths return bit-identical matrices.
 
 Serial int64 ``plus.times`` products take a native route through scipy's
 compiled SpGEMM when scipy imports; ESC stays the exact reference it is
@@ -31,7 +32,6 @@ import numpy as np
 
 from repro.assoc.semiring import Monoid, PLUS_MONOID, PLUS_TIMES, Semiring
 from repro.errors import SparseFormatError
-from repro.obs import metrics as _obs
 from repro.runtime import backends
 from repro.runtime.config import parallel_config
 
@@ -402,16 +402,6 @@ class CSRMatrix:
 
         return expr.as_expr(self).ewise(other, add, how="union").new()
 
-    def _ewise_union_dispatch(self, other: "CSRMatrix", add: Monoid) -> "CSRMatrix":
-        """The eager union kernel with runtime gating (planner dispatch target)."""
-        self._check_shape(other)
-        cfg = parallel_config(self.nnz + other.nnz) if self.shape[0] > 1 else None
-        if cfg is not None:
-            from repro.assoc.blocked import parallel_ewise_union
-
-            return parallel_ewise_union(self, other, add, cfg)
-        return self._ewise_union_serial(other, add)
-
     def _ewise_union_serial(self, other: "CSRMatrix", add: Monoid) -> "CSRMatrix":
         r1, c1, v1 = self.triples()
         r2, c2, v2 = other.triples()
@@ -429,16 +419,6 @@ class CSRMatrix:
         from repro.assoc import expr
 
         return expr.as_expr(self).ewise(other, mult, how="intersect").new()
-
-    def _ewise_intersect_dispatch(self, other: "CSRMatrix", mult) -> "CSRMatrix":  # noqa: ANN001
-        """The eager intersect kernel with runtime gating (planner dispatch target)."""
-        self._check_shape(other)
-        cfg = parallel_config(self.nnz + other.nnz) if self.shape[0] > 1 else None
-        if cfg is not None:
-            from repro.assoc.blocked import parallel_ewise_intersect
-
-            return parallel_ewise_intersect(self, other, mult, cfg)
-        return self._ewise_intersect_serial(other, mult)
 
     def _ewise_intersect_serial(self, other: "CSRMatrix", mult) -> "CSRMatrix":  # noqa: ANN001
         n_cols = np.int64(self.shape[1])
@@ -463,18 +443,6 @@ class CSRMatrix:
         from repro.assoc import expr
 
         return expr.as_expr(self).mxv(x, semiring).new()
-
-    def _mxv_dispatch(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
-        """The eager mxv kernel with runtime gating (planner dispatch target)."""
-        x = np.asarray(x)
-        if x.shape != (self.shape[1],):
-            raise SparseFormatError(f"vector length {x.shape} != {(self.shape[1],)}")
-        cfg = parallel_config(self.nnz) if self.shape[0] > 1 else None
-        if cfg is not None:
-            from repro.assoc.blocked import parallel_mxv
-
-            return parallel_mxv(self, x, semiring, cfg)
-        return self._mxv_serial(x, semiring)
 
     def _mxv_serial(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
         prod = semiring.mult(self.data, x[self.indices])
@@ -513,33 +481,6 @@ class CSRMatrix:
 
         return expr.as_expr(self).mxm(other, semiring).new()
 
-    def _mxm_dispatch(self, other: "CSRMatrix", semiring: Semiring) -> "CSRMatrix":
-        """The eager mxm kernel with runtime gating (planner dispatch target)."""
-        if self.shape[1] != other.shape[0]:
-            raise SparseFormatError(
-                f"inner dimension mismatch: {self.shape} @ {other.shape}"
-            )
-        out_shape = (self.shape[0], other.shape[1])
-        if self.nnz == 0 or other.nnz == 0:
-            dtype = np.result_type(self.dtype, other.dtype)
-            return CSRMatrix.empty(out_shape, dtype)
-        b_row_nnz = other.row_nnz()
-        counts = b_row_nnz[self.indices]  # products contributed by each A entry
-        total = int(counts.sum())
-        if total == 0:
-            dtype = np.result_type(self.dtype, other.dtype)
-            return CSRMatrix.empty(out_shape, dtype)
-        cfg = parallel_config(total) if self.shape[0] > 1 else None
-        if cfg is not None:
-            from repro.assoc.blocked import parallel_mxm
-
-            return parallel_mxm(self, other, semiring, cfg)
-        if _takes_native(self, other, semiring):
-            _obs.counter("assoc.route.native").inc()
-            return _native_mxm(self, other)
-        _obs.counter("assoc.route.esc").inc()
-        return self._mxm_serial(other, semiring, counts, total)
-
     def _mxm_serial(
         self,
         other: "CSRMatrix",
@@ -547,7 +488,7 @@ class CSRMatrix:
         counts: np.ndarray | None = None,
         total: int | None = None,
     ) -> "CSRMatrix":
-        """The serial ESC product; *counts*/*total* may be precomputed by mxm."""
+        """The serial ESC product; the planner may pass precomputed *counts*/*total*."""
         out_shape = (self.shape[0], other.shape[1])
         if counts is None:
             if self.nnz == 0 or other.nnz == 0:

@@ -57,9 +57,9 @@ class RuntimeConfig:
         Number of parallel workers.  ``1`` keeps every kernel on the classic
         serial path.
     block_rows:
-        Rows per :class:`~repro.assoc.blocked.BlockedCSR` tile.  ``None``
-        defers to the chunk-size heuristic
-        (:func:`repro.runtime.executor.choose_block_rows`).
+        Rows per block when the blocked engine (:mod:`repro.assoc.blocked`)
+        cuts a kernel's operands into row blocks.  ``None`` defers to the
+        chunk-size heuristic (:func:`repro.runtime.executor.choose_block_rows`).
     backend:
         One of :data:`BACKENDS`.  ``process`` requires picklable semirings —
         all built-ins qualify.
@@ -273,9 +273,11 @@ def serial_region() -> Iterator[None]:
 def parallel_config(work_items: int) -> RuntimeConfig | None:
     """The active config if *work_items* should run in parallel, else ``None``.
 
-    This is the single gate every dispatching kernel calls: it folds together
-    the opt-in (``workers > 1``), the work-size floor, and the nested-region
-    guard.
+    It folds together the opt-in (``workers > 1``), the work-size floor, and
+    the nested-region guard.  Kernels reach it through one gate, the
+    planner's ``_gate`` (:mod:`repro.assoc.planner`); only
+    :func:`repro.assoc.sparse.coalesce`, which runs below the planner, calls
+    it directly.
     """
     cfg = _config
     if not cfg.parallel or work_items < cfg.min_parallel_work or in_serial_region():

@@ -3,11 +3,12 @@
 ``apply_delta(base_spec, delta)`` answers "what does this scenario look like
 with these overlay layers added?" without rebuilding the base.  The combined
 matrix is assembled from the cached (or freshly built) *pre-noise* base
-composition plus the delta layers, touching only the :class:`~repro.assoc.
-blocked.BlockedCSR`-style row blocks where the delta's packets actually land:
-per touched block, the base rows and delta rows merge through the expression
-layer's fused n-ary union (``blk(accum=PLUS) << union_all(parts)``), while
-untouched blocks carry their base packets over verbatim.  Colours merge
+composition plus the delta layers, touching only the row blocks where the
+delta's packets actually land, cut by the same row partition the blocked
+engine (:mod:`repro.assoc.blocked`) uses: per touched block, the base rows
+and delta rows merge through the expression layer's fused n-ary union
+(``blk(accum=PLUS) << union_all(parts)``), while untouched blocks carry
+their base packets over verbatim.  Colours merge
 globally — the overlay colour rule is a cell-wise maximum over dense ``int8``
 grids, far cheaper than the sparse packet union it would otherwise gate.
 
@@ -185,18 +186,14 @@ def apply_delta(
     delta_csrs = [mat.to_csr() for mat in delta_mats]
     delta_nnz = int(sum(csr.nnz for csr in delta_csrs))
 
-    from repro.assoc.blocked import _row_starts, _slice_rows
+    from repro.assoc.blocked import _row_partition, _slice_rows
     from repro.assoc.expr import Mat, union_all
     from repro.assoc.semiring import PLUS
     from repro.runtime.config import get_config
-    from repro.runtime.executor import choose_block_rows
 
     cfg = get_config()
     requested = block_rows if block_rows is not None else cfg.block_rows
-    block = choose_block_rows(
-        n, base_matrix.nnz() + delta_nnz, cfg.workers, requested
-    )
-    starts = _row_starts(n, block)
+    starts = _row_partition(n, base_matrix.nnz() + delta_nnz, cfg.workers, requested)
 
     # A row is touched when any delta layer stores *packets* in it.  Colours
     # do not gate the split: the overlay colour rule is a cell-wise maximum

@@ -122,9 +122,9 @@ class KernelEqualityOracle:
     The corpus matrix is converted to CSR and pushed through every kernel the
     blocked engine parallelises (``mxm``, ``mxv``, ``ewise_union``,
     ``ewise_intersect``, ``coalesce``) twice: once on the plain serial path
-    and once through :class:`~repro.assoc.blocked.BlockedCSR` tiling with a
-    deliberately tiny ``block_rows`` so every matrix splits into several
-    blocks.  Results must be identical to the bit (values, structure, dtype).
+    and once through its ``parallel_*`` entry point in
+    :mod:`repro.assoc.blocked` with a deliberately tiny ``block_rows`` so
+    every matrix splits into several blocks.  Results must be identical to the bit (values, structure, dtype).
     The routed serial ``mxm`` (the native scipy route for the corpus's int64
     ``plus.times``) must also equal the ESC product: ESC is the exact
     reference that spot-checks the fast route.
@@ -155,7 +155,7 @@ class KernelEqualityOracle:
 
         serial_mxm = a._mxm_serial(a, self.semiring)
         with serial_region():
-            routed_mxm = a._mxm_dispatch(a, self.semiring)
+            routed_mxm = a.mxm(a, self.semiring)
         if not _csr_identical(routed_mxm, serial_mxm):
             return _failed(self.name, f"mxm routed != ESC ({self.semiring.name})")
         blocked_mxm = parallel_mxm(a, a, self.semiring, cfg)

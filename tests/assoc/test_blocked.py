@@ -1,12 +1,16 @@
-"""BlockedCSR tiling: round trips, edge cases, and kernel equality."""
+"""Blocked kernel table: serial-executor kernel equality and picklability."""
+
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.assoc.blocked import BlockedCSR
+from repro import runtime
+from repro.assoc.blocked import KERNELS, _block_task, parallel_mxm, parallel_mxv
 from repro.assoc.semiring import LOR_LAND, MIN_PLUS, PLUS_TIMES
 from repro.assoc.sparse import CSRMatrix
 from repro.errors import SparseFormatError
+from repro.runtime.config import RuntimeConfig
 
 
 def random_csr(n_rows: int, n_cols: int, density: float, seed: int) -> CSRMatrix:
@@ -17,67 +21,8 @@ def random_csr(n_rows: int, n_cols: int, density: float, seed: int) -> CSRMatrix
     return CSRMatrix.from_dense(dense)
 
 
-class TestTiling:
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 16, 100])
-    def test_round_trip(self, block_rows):
-        m = random_csr(16, 11, 0.2, seed=1)
-        blocked = BlockedCSR.from_csr(m, block_rows)
-        assert blocked.to_csr() == m
-        assert blocked.nnz == m.nnz
-        assert blocked.shape == m.shape
-
-    def test_single_row_block(self):
-        """block_rows >= n_rows degenerates to one block equal to the input."""
-        m = random_csr(8, 8, 0.3, seed=2)
-        blocked = BlockedCSR.from_csr(m, 8)
-        assert blocked.n_blocks == 1
-        assert blocked.block(0) == m
-
-    def test_block_size_larger_than_matrix(self):
-        m = random_csr(5, 5, 0.4, seed=3)
-        blocked = BlockedCSR.from_csr(m, 1_000_000)
-        assert blocked.n_blocks == 1
-        assert blocked.to_csr() == m
-
-    def test_empty_matrix_zero_rows(self):
-        m = CSRMatrix.empty((0, 7))
-        blocked = BlockedCSR.from_csr(m, 4)
-        assert blocked.n_blocks == 1
-        assert blocked.nnz == 0
-        assert blocked.to_csr() == m
-
-    def test_empty_matrix_no_entries(self):
-        m = CSRMatrix.empty((9, 9))
-        blocked = BlockedCSR.from_csr(m, 2)
-        assert blocked.n_blocks == 5
-        assert all(b.nnz == 0 for b in blocked.blocks)
-        assert blocked.to_csr() == m
-
-    def test_block_spans_cover_rows(self):
-        m = random_csr(10, 4, 0.3, seed=4)
-        blocked = BlockedCSR.from_csr(m, 3)
-        spans = blocked.block_spans()
-        assert spans[0][0] == 0 and spans[-1][1] == 10
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-
-    def test_heuristic_block_rows(self):
-        """from_csr with no block_rows uses the config heuristic and still round-trips."""
-        m = random_csr(40, 40, 0.1, seed=5)
-        blocked = BlockedCSR.from_csr(m)
-        assert blocked.to_csr() == m
-
-    def test_invalid_block_rows_rejected(self):
-        m = random_csr(4, 4, 0.5, seed=6)
-        with pytest.raises(SparseFormatError):
-            BlockedCSR.from_csr(m, 0)
-
-    def test_mismatched_blocks_rejected(self):
-        m = random_csr(4, 4, 0.5, seed=7)
-        good = BlockedCSR.from_csr(m, 2)
-        with pytest.raises(SparseFormatError):
-            BlockedCSR(m.shape, good.row_starts[:-1], good.blocks)
-        with pytest.raises(SparseFormatError):
-            BlockedCSR((5, 4), good.row_starts, good.blocks)
+def blocks_of(block_rows: int) -> RuntimeConfig:
+    return RuntimeConfig(workers=1, backend="serial", block_rows=block_rows)
 
 
 class TestBlockedKernels:
@@ -87,34 +32,46 @@ class TestBlockedKernels:
         a = random_csr(30, 24, 0.15, seed=8)
         b = random_csr(24, 19, 0.15, seed=9)
         serial = a.mxm(b, semiring)
-        blocked = BlockedCSR.from_csr(a, block_rows).mxm(b, semiring).to_csr()
+        blocked = parallel_mxm(a, b, semiring, blocks_of(block_rows))
         assert blocked == serial
         assert blocked.dtype == serial.dtype
 
     def test_mxm_empty_operand(self):
         a = random_csr(6, 6, 0.4, seed=10)
         empty = CSRMatrix.empty((6, 6))
-        blocked = BlockedCSR.from_csr(a, 2).mxm(empty).to_csr()
+        blocked = parallel_mxm(a, empty, PLUS_TIMES, blocks_of(2))
         assert blocked == a.mxm(empty)
-
-    def test_mxm_shape_mismatch(self):
-        a = random_csr(6, 6, 0.4, seed=11)
-        with pytest.raises(SparseFormatError):
-            BlockedCSR.from_csr(a, 2).mxm(random_csr(5, 5, 0.4, seed=12))
 
     @pytest.mark.parametrize("block_rows", [1, 5, 50])
     def test_mxv_matches_serial(self, block_rows):
         a = random_csr(25, 25, 0.2, seed=13)
         x = np.random.default_rng(14).random(25)
         serial = a.mxv(x, MIN_PLUS)
-        blocked = BlockedCSR.from_csr(a, block_rows).mxv(x, MIN_PLUS)
+        blocked = parallel_mxv(a, x, MIN_PLUS, blocks_of(block_rows))
         assert np.array_equal(serial, blocked)
+
+
+class TestPlannerGateChecksShapes:
+    """Shapes are checked once, at the planner gate, before a call goes blocked."""
+
+    def test_mxm_inner_dimension_mismatch(self):
+        a = random_csr(6, 6, 0.4, seed=11)
+        with runtime.configured(workers=2, backend="thread", min_parallel_work=1):
+            with pytest.raises(SparseFormatError):
+                a.mxm(random_csr(5, 5, 0.4, seed=12))
 
     def test_mxv_length_mismatch(self):
         a = random_csr(6, 6, 0.4, seed=15)
-        with pytest.raises(SparseFormatError):
-            BlockedCSR.from_csr(a, 2).mxv(np.zeros(5))
+        with runtime.configured(workers=2, backend="thread", min_parallel_work=1):
+            with pytest.raises(SparseFormatError):
+                a.mxv(np.zeros(5))
 
-    def test_repr_mentions_blocks(self):
-        m = random_csr(10, 10, 0.2, seed=16)
-        assert "n_blocks=5" in repr(BlockedCSR.from_csr(m, 2))
+
+class TestKernelTable:
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_row_survives_pickle(self, name):
+        """The process backend ships every row (and its functions) by name."""
+        assert pickle.loads(pickle.dumps(KERNELS[name])) == KERNELS[name]
+
+    def test_task_function_survives_pickle(self):
+        assert pickle.loads(pickle.dumps(_block_task)) is _block_task

@@ -1,4 +1,4 @@
-"""BlockedCSR on corpus-shaped degenerate inputs: parallel ≡ serial for all.
+"""Blocked kernels on corpus-shaped degenerate inputs: parallel ≡ serial for all.
 
 The spec-space fuzzer routinely draws matrices that stress the tiling's edge
 cases — empty matrices (an ``isolated_links`` spec at ``n=1``), rows of
@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from repro.assoc.blocked import (
-    BlockedCSR,
     parallel_coalesce,
     parallel_ewise_union,
     parallel_mxm,
     parallel_mxv,
 )
-from repro.assoc.semiring import PLUS_MONOID, PLUS_TIMES
+from repro.assoc.semiring import LOR_LAND, PLUS_MONOID, PLUS_TIMES
 from repro.assoc.sparse import CSRMatrix, _coalesce_core
 from repro.runtime.config import RuntimeConfig
 
@@ -64,10 +63,10 @@ class TestEmptyMatrix:
             e._ewise_union_serial(e, PLUS_MONOID),
         )
 
-    def test_zero_row_matrix_tiles(self):
+    @pytest.mark.parametrize("config", CONFIGS, ids=["serial", "thread"])
+    def test_mxm_on_zero_row_matrix(self, config):
         e = CSRMatrix.empty((0, 0))
-        blocked = BlockedCSR.from_csr(e, 4)
-        assert blocked.to_csr() == e
+        assert_identical(parallel_mxm(e, e, PLUS_TIMES, config), e._mxm_serial(e, PLUS_TIMES))
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["serial", "thread"])
     def test_coalesce_no_triples(self, config):
@@ -80,12 +79,6 @@ class TestEmptyMatrix:
 
 class TestSingleRowBlocks:
     """block_rows=1: every row is its own block — the finest legal tiling."""
-
-    def test_tiling_shape(self):
-        m = all_zero_row_matrix(7)
-        blocked = BlockedCSR.from_csr(m, 1)
-        assert blocked.n_blocks == 7
-        assert blocked.to_csr() == m
 
     def test_mxm_single_row_blocks(self):
         m = all_zero_row_matrix(8)
@@ -104,12 +97,6 @@ class TestSingleRowBlocks:
 
 
 class TestBlockRowsLargerThanMatrix:
-    def test_single_degenerate_block(self):
-        m = all_zero_row_matrix(5)
-        blocked = BlockedCSR.from_csr(m, block_rows=500)
-        assert blocked.n_blocks == 1
-        assert blocked.to_csr() == m
-
     @pytest.mark.parametrize("backend_workers", [(1, "serial"), (3, "thread")])
     def test_kernels_with_oversized_blocks(self, backend_workers):
         workers, backend = backend_workers
@@ -155,3 +142,18 @@ class TestAllZeroRows:
         p = parallel_coalesce(rows, cols, vals, (9, 9), PLUS_MONOID, config)
         for a, b in zip(s, p):
             assert np.array_equal(a, b)
+
+
+class TestEmptyExpansion:
+    @pytest.mark.parametrize("config", CONFIGS, ids=["serial", "thread"])
+    def test_mxm_dtype_when_no_product_term_exists(self, config):
+        """Both operands store entries, yet no A column meets a non-empty B
+        row: the result keeps the serial kernel's ``result_type`` dtype
+        instead of the multiplicative operator's (bool for ``land``)."""
+        a = CSRMatrix.from_triples(
+            np.arange(4), np.ones(4, dtype=np.int64), np.arange(1, 5), (4, 4)
+        )
+        b = CSRMatrix.from_triples(
+            np.array([0, 2, 3]), np.array([0, 1, 2]), np.array([5, 6, 7]), (4, 4)
+        )
+        assert_identical(parallel_mxm(a, b, LOR_LAND, config), a._mxm_serial(b, LOR_LAND))

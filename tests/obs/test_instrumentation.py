@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro import runtime
-from repro.assoc.semiring import PLUS_TIMES
+from repro.assoc import blocked
+from repro.assoc.semiring import PLUS_MONOID, PLUS_TIMES
 from repro.assoc.sparse import CSRMatrix
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -69,6 +70,63 @@ class TestKernelSpans:
         assert obs_trace.get_tracer() is obs_trace.NULL_TRACER
 
 
+class TestBlockedEntryPointObs:
+    """Every blocked entry point records one ``kernels.<name>`` count, one
+    ``kernels.wall_ms`` observation and one ``kernel.<name>`` span carrying
+    ``route``, ``blocks`` and ``nnz_out``, on either transport route."""
+
+    NAMES = sorted(name for name in blocked.__all__ if name.startswith("parallel_"))
+
+    @staticmethod
+    def _args(name):
+        """Operands for *name*, built before the runtime goes parallel."""
+        rng = np.random.default_rng(8)
+        a, b, mask = _rand_csr(rng, 64, 600), _rand_csr(rng, 64, 600), _rand_csr(rng, 64, 200)
+        x = rng.standard_normal(64)
+        allow = rng.integers(0, 2, 64).astype(bool)
+        rows, cols, vals = a.triples()
+        return {
+            "parallel_mxm": (a, b, PLUS_TIMES),
+            "parallel_mxv": (a, x, PLUS_TIMES),
+            "parallel_ewise_union": (a, b, PLUS_MONOID),
+            "parallel_ewise_intersect": (a, b, np.multiply),
+            "parallel_coalesce": (rows, cols, vals, a.shape, PLUS_MONOID),
+            "parallel_masked_mxm": (a, b, PLUS_TIMES, mask),
+            "parallel_masked_mxv": (a, x, PLUS_TIMES, allow),
+            "parallel_masked_intersect": (a, b, np.multiply, mask, False),
+            "parallel_union_all": ([a, b, mask], PLUS_MONOID, mask, True),
+        }[name]
+
+    @staticmethod
+    def _assert_recorded_once(name, route):
+        assert obs_metrics.counter(f"kernels.{name}").value == 1
+        assert obs_metrics.histogram("kernels.wall_ms").count == 1
+        spans = [r for r in obs_trace.get_tracer().spans() if r.name.startswith("kernel.")]
+        assert [r.name for r in spans] == [f"kernel.{name}"]
+        attrs = dict(spans[0].attrs)
+        assert attrs["route"] == route
+        assert attrs["blocks"] == 4
+        assert attrs["nnz_out"] >= 0
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_pickle_route(self, name):
+        args = self._args(name)
+        cfg = runtime.configure(
+            workers=2, backend="thread", min_parallel_work=1, block_rows=16, tracing=True
+        )
+        getattr(blocked, name)(*args, cfg)
+        self._assert_recorded_once(name, "pickle")
+
+    def test_shm_route(self):
+        args = self._args("parallel_mxm")
+        cfg = runtime.configure(
+            workers=2, backend="process", min_parallel_work=1, shm_min_bytes=0,
+            block_rows=16, tracing=True,
+        )
+        blocked.parallel_mxm(*args, cfg)
+        self._assert_recorded_once("parallel_mxm", "shm")
+
+
 class TestWorkerSpanStitching:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_task_spans_parent_under_the_map_span(self, backend):
@@ -93,8 +151,6 @@ class TestShmGauges:
             workers=2, backend="process", min_parallel_work=1,
             shm_min_bytes=0, block_rows=32,
         )
-        from repro.assoc import blocked
-
         rng = np.random.default_rng(7)
         a, b = _rand_csr(rng, 100, 1500), _rand_csr(rng, 100, 1500)
         blocked.parallel_mxm(a, b, PLUS_TIMES, cfg)

@@ -16,7 +16,7 @@ import pytest
 from repro import runtime
 from repro.assoc import blocked
 from repro.assoc import sparse as _sparse
-from repro.assoc.semiring import MIN_PLUS, PLUS_MONOID, PLUS_TIMES
+from repro.assoc.semiring import LOR_LAND, MIN_PLUS, PLUS_MONOID, PLUS_TIMES
 from repro.assoc.sparse import CSRMatrix
 from repro.errors import SharedMemoryError, WorkerCrashError
 from repro.runtime import shm
@@ -289,6 +289,19 @@ class TestKernelIdentity:
             serial_v = a._mxv_serial(x, semiring)
             shm_v = blocked.parallel_mxv(a, x, semiring, shm_cfg)
             assert np.array_equal(serial_v, shm_v) and serial_v.dtype == shm_v.dtype
+
+    def test_mxm_dtype_with_empty_expansion(self):
+        """No A column meets a non-empty B row: the serial dtype, not ``land``'s bool."""
+        a = CSRMatrix.from_triples(
+            np.arange(4), np.ones(4, dtype=np.int64), np.arange(1, 5), (4, 4)
+        )
+        b = CSRMatrix.from_triples(
+            np.array([0, 2, 3]), np.array([0, 1, 2]), np.array([5, 6, 7]), (4, 4)
+        )
+        cfg = runtime.configure(
+            workers=2, backend="process", min_parallel_work=1, shm_min_bytes=0, block_rows=1
+        )
+        assert _eq_csr(a._mxm_serial(b, LOR_LAND), blocked.parallel_mxm(a, b, LOR_LAND, cfg))
 
     def test_ewise_and_union_all(self, shm_cfg, operands):
         a, b, mask = operands["a"], operands["b"], operands["mask"]

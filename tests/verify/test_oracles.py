@@ -77,7 +77,7 @@ class TestNativeRouteSpotCheck:
 
             return wrong
 
-        monkeypatch.setattr(sparse, "_native_mxm", planted(sparse._native_mxm))
+        monkeypatch.setattr(planner, "_native_mxm", planted(planner._native_mxm))
         monkeypatch.setattr(
             planner, "_native_masked_mxm", planted(planner._native_masked_mxm)
         )
