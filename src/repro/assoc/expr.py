@@ -375,7 +375,7 @@ class VecExpr:
     def plan(self, mask: object = None, *, complement: bool = False) -> Plan:
         from repro.assoc import planner
 
-        return planner.plan_vec(self, _as_vec_mask(mask, complement, self.size))
+        return planner.plan(self, _as_vec_mask(mask, complement, self.size))
 
     def typecheck(self, mask: object = None, *, complement: bool = False) -> ExprType:
         """Statically infer result size and dtype (see

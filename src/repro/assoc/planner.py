@@ -2,9 +2,12 @@
 
 :func:`evaluate` walks a :class:`~repro.assoc.expr.MatExpr` /
 :class:`~repro.assoc.expr.VecExpr` tree and executes it bottom-up, applying
-the fusion rules; :func:`plan` performs the same walk without executing and
-returns an inspectable :class:`Plan`, so tests (and the masked-mxm benchmark)
-can assert *which* kernels an evaluation will run.
+the fusion rules.  Plan, evaluate and execute are that one walk:
+:func:`plan` (matrix or vector expressions) takes it without running a
+kernel and returns an inspectable :class:`Plan`, so tests (and the
+masked-mxm benchmark) can assert *which* kernels an evaluation runs, and
+:meth:`Plan.execute` takes it with a stopwatch around each kernel.  Only
+:func:`_step` tells the three apart.
 
 Fusion rules:
 
@@ -25,10 +28,10 @@ Fusion rules:
 * **union chain collapse** — ``A + B + C`` (same monoid) runs one
   concatenate + coalesce instead of two pairwise unions.
 
-Every kernel dispatch goes through one gate, :func:`_gate`, so plain and
-fused masked kernels run on the same row-blocked engine
-(:mod:`repro.assoc.blocked`) with the same bit-identical serial ≡ parallel
-guarantee.
+Every kernel dispatch goes through one gate,
+:func:`repro.runtime.config.blocked_config`, so plain and fused masked
+kernels run on the same row-blocked engine (:mod:`repro.assoc.blocked`) with
+the same bit-identical serial ≡ parallel guarantee.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from repro.assoc.sparse import (
     _masked_mxm_serial,
     _masked_mxv_serial,
     _masked_reduce_rows_serial,
+    _mxm_out_dtype,
     _native_masked_mxm,
     _native_mxm,
     _takes_native,
@@ -55,14 +59,13 @@ from repro.assoc.sparse import (
 from repro.errors import ExpressionError, SparseFormatError
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
-from repro.runtime.config import RuntimeConfig, parallel_config
+from repro.runtime.config import blocked_config
 
 __all__ = [
     "Step",
     "StepProfile",
     "Plan",
     "plan",
-    "plan_vec",
     "evaluate",
     "evaluate_vec",
 ]
@@ -143,13 +146,12 @@ class Plan:
         subtree for trees the builder methods never validated (raw node
         construction, stale operands, mismatched masks).
         """
-        from repro.assoc import expr as E
         from repro.staticcheck import shapes
 
         if self.expr is None:
             raise ExpressionError(
                 "plan carries no expression tree to typecheck (it was built "
-                "directly from steps, not by plan()/plan_vec())"
+                "directly from steps, not by plan())"
             )
         if isinstance(self.expr, E.VecExpr):
             return shapes.infer_vec(self.expr, self.mask)
@@ -160,25 +162,21 @@ class Plan:
 
         Returns the evaluation result and stores one :class:`StepProfile`
         per plan step (measured wall time plus result nnz) on
-        :attr:`profile`, aligned 1:1 with :attr:`steps` — the same walk
-        :func:`evaluate` performs, with a stopwatch around each kernel.
-        When tracing is live each step additionally opens a ``plan.<kernel>``
-        span, so traced runs show the plan tree inside the trace timeline.
+        :attr:`profile`, aligned 1:1 with :attr:`steps`: the walk
+        :func:`plan` and :func:`evaluate` take, with a stopwatch around each
+        kernel.  When tracing is live each step additionally opens a
+        ``plan.<kernel>`` span, so traced runs show the plan tree inside the
+        trace timeline.
         """
-        from repro.assoc import expr as E
-
         if self.expr is None:
             raise ExpressionError(
                 "plan carries no expression tree to execute (it was built "
-                "directly from steps, not by plan()/plan_vec())"
+                "directly from steps, not by plan())"
             )
         _obs.counter("planner.executions").inc()
-        rec: list[StepProfile] = []
-        if isinstance(self.expr, E.VecExpr):
-            result = evaluate_vec(self.expr, self.mask, _rec=rec)
-        else:
-            result = evaluate(self.expr, self.mask, _rec=rec)
-        object.__setattr__(self, "profile", tuple(rec))
+        walk = _Walk(run=True)
+        result = _walk_any(self.expr, self.mask, walk)
+        object.__setattr__(self, "profile", tuple(walk.costs))
         return result
 
     def explain(self, profile: bool = False) -> str:
@@ -218,18 +216,14 @@ class Plan:
 #
 # These eight helpers are the only place a planned kernel chooses between its
 # serial kernel and the row-blocked engine (``repro.assoc.blocked``): each
-# checks its operand shapes, then asks :func:`_gate`.  The serial branches
-# keep their early returns, the native scipy route and the route counters.
-# ``sparse.coalesce`` gates itself, because it runs below the planner.  How a
+# checks its operand shapes, then asks ``blocked_config``.  The serial
+# branches keep their early returns, the native scipy route and the route
+# counters.  ``sparse.coalesce`` asks the same gate itself, because it runs
+# below the planner.  How a
 # gated call travels (pickled row blocks, or shared-memory segments on the
 # ``process`` backend) is decided inside the blocked engine and is invisible
 # here: both routes run the same serial kernels over the same row partition.
 # --------------------------------------------------------------------------- #
-
-
-def _gate(work: int, n_rows: int) -> RuntimeConfig | None:
-    """The active config when *work* should run row-blocked, else ``None``."""
-    return parallel_config(work) if n_rows > 1 else None
 
 
 def _dispatch_mxm(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> CSRMatrix:
@@ -242,7 +236,7 @@ def _dispatch_mxm(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> CSRMatrix:
     total = int(counts.sum())
     if total == 0:
         return CSRMatrix.empty(out_shape, np.result_type(a.dtype, b.dtype))
-    cfg = _gate(total, a.shape[0])
+    cfg = blocked_config(total, a.shape[0])
     if cfg is not None:
         return blocked.parallel_mxm(a, b, semiring, cfg)
     if _takes_native(a, b, semiring):
@@ -256,7 +250,7 @@ def _dispatch_mxv(a: CSRMatrix, x: np.ndarray, semiring: Semiring) -> np.ndarray
     x = np.asarray(x)
     if x.shape != (a.shape[1],):
         raise SparseFormatError(f"vector length {x.shape} != {(a.shape[1],)}")
-    cfg = _gate(a.nnz, a.shape[0])
+    cfg = blocked_config(a.nnz, a.shape[0])
     if cfg is not None:
         return blocked.parallel_mxv(a, x, semiring, cfg)
     return a._mxv_serial(x, semiring)
@@ -264,7 +258,7 @@ def _dispatch_mxv(a: CSRMatrix, x: np.ndarray, semiring: Semiring) -> np.ndarray
 
 def _dispatch_ewise_union(a: CSRMatrix, b: CSRMatrix, add: Monoid) -> CSRMatrix:
     a._check_shape(b)
-    cfg = _gate(a.nnz + b.nnz, a.shape[0])
+    cfg = blocked_config(a.nnz + b.nnz, a.shape[0])
     if cfg is not None:
         return blocked.parallel_ewise_union(a, b, add, cfg)
     return a._ewise_union_serial(b, add)
@@ -272,7 +266,7 @@ def _dispatch_ewise_union(a: CSRMatrix, b: CSRMatrix, add: Monoid) -> CSRMatrix:
 
 def _dispatch_ewise_intersect(a: CSRMatrix, b: CSRMatrix, mult) -> CSRMatrix:  # noqa: ANN001
     a._check_shape(b)
-    cfg = _gate(a.nnz + b.nnz, a.shape[0])
+    cfg = blocked_config(a.nnz + b.nnz, a.shape[0])
     if cfg is not None:
         return blocked.parallel_ewise_intersect(a, b, mult, cfg)
     return a._ewise_intersect_serial(b, mult)
@@ -282,22 +276,22 @@ def _dispatch_masked_mxm(
     a: CSRMatrix, b: CSRMatrix, semiring, mask: CSRMatrix  # noqa: ANN001
 ) -> CSRMatrix:
     if a.shape[1] != b.shape[0]:
-        raise ExpressionError(f"inner dimension mismatch: {a.shape} @ {b.shape}")
+        raise SparseFormatError(f"inner dimension mismatch: {a.shape} @ {b.shape}")
     work = int(b.row_nnz()[a.indices].sum()) if a.nnz and b.nnz else 0
-    cfg = _gate(work, a.shape[0])
+    cfg = blocked_config(work, a.shape[0])
     if cfg is not None:
         return blocked.parallel_masked_mxm(a, b, semiring, mask, cfg)
     if _takes_native(a, b, semiring):
         _obs.counter("assoc.route.native").inc()
         return _native_masked_mxm(a, b, mask)
     _obs.counter("assoc.route.esc").inc()
-    return _masked_mxm_serial(a, b, semiring, mask)
+    return _masked_mxm_serial(a, b, semiring, mask, _mxm_out_dtype(a, b, semiring.mult, work))
 
 
 def _dispatch_union_all(
     parts: list[CSRMatrix], add, mask: CSRMatrix | None, complement: bool  # noqa: ANN001
 ) -> CSRMatrix:
-    cfg = _gate(sum(p.nnz for p in parts), parts[0].shape[0])
+    cfg = blocked_config(sum(p.nnz for p in parts), parts[0].shape[0])
     if cfg is not None:
         return blocked.parallel_union_all(parts, add, mask, complement, cfg)
     return _union_all_serial(parts, add, mask, complement)
@@ -306,7 +300,7 @@ def _dispatch_union_all(
 def _dispatch_masked_intersect(
     a: CSRMatrix, b: CSRMatrix, mult, mask: CSRMatrix, complement: bool  # noqa: ANN001
 ) -> CSRMatrix:
-    cfg = _gate(a.nnz + b.nnz, a.shape[0])
+    cfg = blocked_config(a.nnz + b.nnz, a.shape[0])
     if cfg is not None:
         return blocked.parallel_masked_intersect(a, b, mult, mask, complement, cfg)
     return _masked_intersect_serial(a, b, mult, mask, complement)
@@ -315,22 +309,27 @@ def _dispatch_masked_intersect(
 def _dispatch_masked_mxv(
     a: CSRMatrix, x: np.ndarray, semiring, allow: np.ndarray  # noqa: ANN001
 ) -> np.ndarray:
-    cfg = _gate(a.nnz, a.shape[0])
+    cfg = blocked_config(a.nnz, a.shape[0])
     if cfg is not None:
         return blocked.parallel_masked_mxv(a, x, semiring, allow, cfg)
     return _masked_mxv_serial(a, x, semiring, allow)
 
 
-def _check_mask(mask: E.Mask | None, shape: tuple[int, int]) -> None:
-    if mask is not None and mask.shape != shape:
-        raise ExpressionError(
-            f"mask shape {mask.shape} does not match expression shape {shape}"
-        )
+# --------------------------------------------------------------------------- #
+# the walk: evaluation, planning and profiling
+# --------------------------------------------------------------------------- #
 
 
-# --------------------------------------------------------------------------- #
-# evaluation
-# --------------------------------------------------------------------------- #
+class _Walk:
+    """What one :func:`plan` (``run=False``: steps only, no kernel runs) or
+    :meth:`Plan.execute` (``run=True``: steps, run and costed) walk records."""
+
+    __slots__ = ("run", "steps", "costs")
+
+    def __init__(self, run: bool) -> None:
+        self.run = run
+        self.steps: list[Step] = []
+        self.costs: list[StepProfile] = []
 
 
 def _result_nnz(result: object) -> int | None:
@@ -343,241 +342,127 @@ def _result_nnz(result: object) -> int | None:
     return None
 
 
-def _step(rec: "list[StepProfile] | None", kernel: str, thunk):  # noqa: ANN001, ANN201
-    """Run one plan step, appending a :class:`StepProfile` when recording.
+def _step(  # noqa: ANN201
+    walk: _Walk | None, kernel: str, thunk, fused_mask: bool = False, note: str = ""  # noqa: ANN001
+):
+    """One plan step: the only place plan, evaluate and execute differ.
 
-    The un-profiled path (``rec is None`` — every plain :func:`evaluate`
-    call) is a bare ``thunk()``: profiling costs nothing unless
-    :meth:`Plan.execute` asked for it.  Step order matches
-    :func:`_plan_mat`'s emission order exactly, so the recorded profile
-    aligns 1:1 with :attr:`Plan.steps`.
+    Plain :func:`evaluate` (``walk is None``) is a bare ``thunk()``: no
+    :class:`Step`, no clock, no span.  A planning walk records the
+    :class:`Step` and returns ``None`` without running the kernel (parents
+    hand child results only to thunks, which then never run either).  An
+    executing walk records the step, runs the thunk inside a
+    ``plan.<kernel>`` span and records its :class:`StepProfile`, so the
+    profile aligns 1:1 with the steps by construction.
     """
-    if rec is None:
+    if walk is None:
         return thunk()
-    tracer = _trace.get_tracer()
+    walk.steps.append(Step(kernel, fused_mask, note))
+    if not walk.run:
+        return None
     t0 = _obs.monotonic_ns()
-    with tracer.span(f"plan.{kernel}"):
+    with _trace.get_tracer().span(f"plan.{kernel}"):
         out = thunk()
-    rec.append(StepProfile(kernel, _obs.monotonic_ns() - t0, _result_nnz(out)))
+    walk.costs.append(StepProfile(kernel, _obs.monotonic_ns() - t0, _result_nnz(out)))
     return out
 
 
-def evaluate(
-    e: E.MatExpr,
-    mask: E.Mask | None = None,
-    *,
-    _rec: "list[StepProfile] | None" = None,
-) -> CSRMatrix:
-    """Execute a matrix expression, fusing *mask* into the kernels.
+def evaluate(e: E.MatExpr, mask: E.Mask | None = None) -> CSRMatrix:
+    """Execute a matrix expression, fusing *mask* into the kernels."""
+    return _walk_mat(e, mask, None)
 
-    ``_rec`` (internal, used by :meth:`Plan.execute`) collects one
-    :class:`StepProfile` per plan step in :func:`_plan_mat` emission order.
-    """
-    _check_mask(mask, e.shape)
+
+def evaluate_vec(v: E.VecExpr, allow: np.ndarray | None = None) -> np.ndarray:
+    """Execute a vector expression; *allow* is a dense boolean row mask with
+    any complement already applied."""
+    return _walk_vec(v, allow, None)
+
+
+def plan(e: E.MatExpr | E.VecExpr, mask: E.Mask | np.ndarray | None = None) -> Plan:
+    """The kernel schedule evaluation follows: the evaluation walk, run
+    without executing a kernel.  For a vector expression *mask* is the dense
+    boolean row mask :func:`evaluate_vec` takes."""
+    walk = _Walk(run=False)
+    _walk_any(e, mask, walk)
+    return Plan(tuple(walk.steps), expr=e, mask=mask)
+
+
+def _walk_any(e, mask, walk: _Walk):  # noqa: ANN001, ANN202
+    return (_walk_vec if isinstance(e, E.VecExpr) else _walk_mat)(e, mask, walk)
+
+
+def _walk_mat(e: E.MatExpr, mask: E.Mask | None, walk: _Walk | None) -> CSRMatrix:
+    if mask is not None and mask.shape != e.shape:
+        raise ExpressionError(f"mask shape {mask.shape} does not match expression shape {e.shape}")
     if isinstance(e, E.MatLeaf):
-        csr = _step(_rec, "leaf", e.resolve)
+        note = "transposed (cached descriptor)" if e.transposed else ""
+        csr = _step(walk, "leaf", e.resolve, note=note)
         if mask is None:
             return csr
-        return _step(
-            _rec,
-            "masked_select",
-            lambda: masked_select(csr, mask.pattern, mask.complement),
-        )
+        select = lambda: masked_select(csr, mask.pattern, mask.complement)
+        return _step(walk, "masked_select", select, fused_mask=True)
     if isinstance(e, E.MxM):
-        a = evaluate(e.left, None, _rec=_rec)
-        b = evaluate(e.right, None, _rec=_rec)
-        if mask is None:
-            return _step(_rec, "mxm", lambda: _dispatch_mxm(a, b, e.semiring))
-        if mask.complement:
-            full = _step(_rec, "mxm", lambda: _dispatch_mxm(a, b, e.semiring))
-            return _step(
-                _rec, "mask_filter", lambda: masked_select(full, mask.pattern, True)
-            )
-        return _step(
-            _rec,
-            "masked_mxm",
-            lambda: _dispatch_masked_mxm(a, b, e.semiring, mask.pattern),
-        )
+        a = _walk_mat(e.left, None, walk)
+        b = _walk_mat(e.right, None, walk)
+        if mask is None or mask.complement:
+            full = _step(walk, "mxm", lambda: _dispatch_mxm(a, b, e.semiring))
+            if mask is None:
+                return full
+            filtered = lambda: masked_select(full, mask.pattern, True)
+            note = "complement mask: full product then filter"
+            return _step(walk, "mask_filter", filtered, note=note)
+        fused = lambda: _dispatch_masked_mxm(a, b, e.semiring, mask.pattern)
+        return _step(walk, "masked_mxm", fused, True, "masked rows never expanded")
     if isinstance(e, E.UnionAll):
+        n = len(e.parts)
         if mask is None:
-            parts = [evaluate(p, None, _rec=_rec) for p in e.parts]
-            if len(parts) == 1:
-                # the 1-way union is a pass-through; still recorded so the
-                # profile stays aligned with the planned "union_all" step
-                return _step(_rec, "union_all", lambda: parts[0])
-            if len(parts) == 2:
-                return _step(
-                    _rec,
-                    "ewise_union",
-                    lambda: _dispatch_ewise_union(parts[0], parts[1], e.add),
-                )
-            return _step(
-                _rec, "union_all", lambda: _dispatch_union_all(parts, e.add, None, False)
-            )
+            parts = [_walk_mat(p, None, walk) for p in e.parts]
+            if n == 2:
+                union = lambda: _dispatch_ewise_union(parts[0], parts[1], e.add)
+                return _step(walk, "ewise_union", union)
+            if n == 1:  # a pass-through, still one step
+                union = lambda: parts[0]
+            else:
+                union = lambda: _dispatch_union_all(parts, e.add, None, False)
+            return _step(walk, "union_all", union, note=f"{n}-way fused")
         # mask pushdown only into compound children (their evaluation fuses
         # it); leaf operands stay unfiltered and the fused union kernel
         # filters their triples inline, pre-sort — no double filtering of
         # leaves, and no intermediate per-leaf selects
-        parts = [
-            evaluate(p, None, _rec=_rec) if isinstance(p, E.MatLeaf) else evaluate(p, mask, _rec=_rec)
-            for p in e.parts
-        ]
-        if len(parts) == 1:
-            return _step(
-                _rec,
-                "masked_union",
-                lambda: masked_select(parts[0], mask.pattern, mask.complement),
-            )
-        return _step(
-            _rec,
-            "masked_union",
-            lambda: _dispatch_union_all(parts, e.add, mask.pattern, mask.complement),
-        )
+        parts = [_walk_mat(p, None if isinstance(p, E.MatLeaf) else mask, walk) for p in e.parts]
+        if n == 1:
+            union = lambda: masked_select(parts[0], mask.pattern, mask.complement)
+        else:
+            union = lambda: _dispatch_union_all(parts, e.add, mask.pattern, mask.complement)
+        return _step(walk, "masked_union", union, True, f"{n}-way fused, triples filtered pre-sort")
     if isinstance(e, E.EWiseMult):
-        if mask is None:
-            a = evaluate(e.left, None, _rec=_rec)
-            b = evaluate(e.right, None, _rec=_rec)
-            return _step(
-                _rec, "ewise_intersect", lambda: _dispatch_ewise_intersect(a, b, e.mult)
-            )
         # mask pushdown: (A⟨M⟩ ⊗ B) == (A ⊗ B)⟨M⟩.  A leaf left operand is
         # filtered once, inline in the fused kernel; a compound left operand
         # evaluates fused under the mask (the kernel's re-check of its
         # already-restricted triples is the cheaper side of that trade)
-        a = (
-            evaluate(e.left, None, _rec=_rec)
-            if isinstance(e.left, E.MatLeaf)
-            else evaluate(e.left, mask, _rec=_rec)
-        )
-        b = evaluate(e.right, None, _rec=_rec)
-        return _step(
-            _rec,
-            "masked_intersect",
-            lambda: _dispatch_masked_intersect(
-                a, b, e.mult, mask.pattern, mask.complement
-            ),
-        )
+        a = _walk_mat(e.left, None if isinstance(e.left, E.MatLeaf) else mask, walk)
+        b = _walk_mat(e.right, None, walk)
+        if mask is None:
+            return _step(walk, "ewise_intersect", lambda: _dispatch_ewise_intersect(a, b, e.mult))
+        fused = lambda: _dispatch_masked_intersect(a, b, e.mult, mask.pattern, mask.complement)
+        return _step(walk, "masked_intersect", fused, True, "mask pushed to left operand")
     if isinstance(e, E.TransposeExpr):
-        pushed = None if mask is None else mask.transpose()
-        child = evaluate(e.child, pushed, _rec=_rec)
-        return _step(_rec, "transpose", child.transpose)
+        child = _walk_mat(e.child, None if mask is None else mask.transpose(), walk)
+        note = "" if mask is None else "mask pushed through transpose"
+        return _step(walk, "transpose", lambda: child.transpose(), note=note)
     raise ExpressionError(f"unknown expression node {type(e).__name__}")
 
 
-def evaluate_vec(
-    v: E.VecExpr,
-    allow: np.ndarray | None = None,
-    *,
-    _rec: "list[StepProfile] | None" = None,
-) -> np.ndarray:
-    """Execute a vector expression; *allow* is a dense boolean row mask with
-    any complement already applied."""
-    if isinstance(v, E.MxV):
-        a = evaluate(v.mat, None, _rec=_rec)
-        if allow is None:
-            return _step(_rec, "mxv", lambda: _dispatch_mxv(a, v.x, v.semiring))
-        return _step(
-            _rec,
-            "masked_mxv",
-            lambda: _dispatch_masked_mxv(a, v.x, v.semiring, allow),
-        )
-    if isinstance(v, E.ReduceRows):
-        a = evaluate(v.mat, None, _rec=_rec)
-        if allow is None:
-            return _step(_rec, "reduce_rows", lambda: a.reduce_rows(v.add))
-        return _step(
-            _rec,
-            "masked_reduce_rows",
-            lambda: _masked_reduce_rows_serial(a, v.add, allow),
-        )
-    raise ExpressionError(f"unknown vector expression node {type(v).__name__}")
-
-
-# --------------------------------------------------------------------------- #
-# static planning (same walk, no execution)
-# --------------------------------------------------------------------------- #
-
-
-def plan(e: E.MatExpr, mask: E.Mask | None = None) -> Plan:
-    """The kernel schedule :func:`evaluate` would follow for this tree."""
-    steps: list[Step] = []
-    _plan_mat(e, mask, steps)
-    return Plan(tuple(steps), expr=e, mask=mask)
-
-
-def plan_vec(v: E.VecExpr, allow: np.ndarray | None = None) -> Plan:
-    steps: list[Step] = []
-    if isinstance(v, E.MxV):
-        _plan_mat(v.mat, None, steps)
-        if allow is None:
-            steps.append(Step("mxv"))
-        else:
-            steps.append(Step("masked_mxv", fused_mask=True, note="masked rows skipped"))
-    elif isinstance(v, E.ReduceRows):
-        _plan_mat(v.mat, None, steps)
-        if allow is None:
-            steps.append(Step("reduce_rows"))
-        else:
-            steps.append(Step("masked_reduce_rows", fused_mask=True))
-    else:
+def _walk_vec(v: E.VecExpr, allow: np.ndarray | None, walk: _Walk | None) -> np.ndarray:
+    if not isinstance(v, (E.MxV, E.ReduceRows)):
         raise ExpressionError(f"unknown vector expression node {type(v).__name__}")
-    return Plan(tuple(steps), expr=v, mask=allow)
-
-
-def _plan_mat(e: E.MatExpr, mask: E.Mask | None, steps: list[Step]) -> None:
-    _check_mask(mask, e.shape)
-    if isinstance(e, E.MatLeaf):
-        note = "transposed (cached descriptor)" if e.transposed else ""
-        steps.append(Step("leaf", note=note))
-        if mask is not None:
-            steps.append(Step("masked_select", fused_mask=True))
-        return
-    if isinstance(e, E.MxM):
-        _plan_mat(e.left, None, steps)
-        _plan_mat(e.right, None, steps)
-        if mask is None:
-            steps.append(Step("mxm"))
-        elif mask.complement:
-            steps.append(Step("mxm"))
-            steps.append(
-                Step("mask_filter", note="complement mask: full product then filter")
-            )
-        else:
-            steps.append(
-                Step("masked_mxm", fused_mask=True, note="masked rows never expanded")
-            )
-        return
-    if isinstance(e, E.UnionAll):
-        for p in e.parts:
-            child_mask = None if (mask is None or isinstance(p, E.MatLeaf)) else mask
-            _plan_mat(p, child_mask, steps)
-        if mask is None and len(e.parts) == 2:
-            steps.append(Step("ewise_union"))
-        elif mask is None:
-            steps.append(Step("union_all", note=f"{len(e.parts)}-way fused"))
-        else:
-            steps.append(
-                Step(
-                    "masked_union",
-                    fused_mask=True,
-                    note=f"{len(e.parts)}-way fused, triples filtered pre-sort",
-                )
-            )
-        return
-    if isinstance(e, E.EWiseMult):
-        if mask is None:
-            _plan_mat(e.left, None, steps)
-            _plan_mat(e.right, None, steps)
-            steps.append(Step("ewise_intersect"))
-        else:
-            left_mask = None if isinstance(e.left, E.MatLeaf) else mask
-            _plan_mat(e.left, left_mask, steps)
-            _plan_mat(e.right, None, steps)
-            steps.append(Step("masked_intersect", fused_mask=True, note="mask pushed to left operand"))
-        return
-    if isinstance(e, E.TransposeExpr):
-        pushed = None if mask is None else mask.transpose()
-        _plan_mat(e.child, pushed, steps)
-        steps.append(Step("transpose", note="mask pushed through transpose" if mask else ""))
-        return
-    raise ExpressionError(f"unknown expression node {type(e).__name__}")
+    a = _walk_mat(v.mat, None, walk)
+    if isinstance(v, E.MxV):
+        if allow is None:
+            return _step(walk, "mxv", lambda: _dispatch_mxv(a, v.x, v.semiring))
+        fused = lambda: _dispatch_masked_mxv(a, v.x, v.semiring, allow)
+        return _step(walk, "masked_mxv", fused, True, "masked rows skipped")
+    if allow is None:
+        return _step(walk, "reduce_rows", lambda: a.reduce_rows(v.add))
+    fused = lambda: _masked_reduce_rows_serial(a, v.add, allow)
+    return _step(walk, "masked_reduce_rows", fused, True)

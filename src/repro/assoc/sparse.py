@@ -33,7 +33,7 @@ import numpy as np
 from repro.assoc.semiring import Monoid, PLUS_MONOID, PLUS_TIMES, Semiring
 from repro.errors import SparseFormatError
 from repro.runtime import backends
-from repro.runtime.config import parallel_config
+from repro.runtime.config import blocked_config
 
 if TYPE_CHECKING:  # pragma: no cover
     import scipy.sparse as sp
@@ -67,7 +67,7 @@ def coalesce(
         return rows, cols, vals
     if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
         raise SparseFormatError(f"triple coordinates out of bounds for shape {shape}")
-    cfg = parallel_config(rows.size) if n_rows > 1 else None
+    cfg = blocked_config(rows.size, n_rows)
     if cfg is not None:
         from repro.assoc.blocked import parallel_coalesce
 
@@ -687,11 +687,17 @@ def masked_select(a: "CSRMatrix", mask: "CSRMatrix", complement: bool = False) -
     return CSRMatrix.from_triples(rows[keep], cols[keep], vals[keep], a.shape)
 
 
-def _mxm_out_dtype(a: "CSRMatrix", b: "CSRMatrix", mult) -> np.dtype:  # noqa: ANN001
-    """The dtype ``a.mxm(b)`` would produce (probe rule of the eager kernel)."""
-    if a.nnz == 0 or b.nnz == 0:
-        return np.result_type(a.dtype, b.dtype)
-    if int(b.row_nnz()[a.indices].sum()) == 0:
+def _mxm_out_dtype(
+    a: "CSRMatrix", b: "CSRMatrix", mult, total: int | None = None  # noqa: ANN001
+) -> np.dtype:
+    """The dtype ``a.mxm(b)`` would produce (probe rule of the eager kernel).
+
+    *total* is the expansion size ``b.row_nnz()[a.indices].sum()`` when the
+    caller has already counted it.
+    """
+    if total is None:
+        total = int(b.row_nnz()[a.indices].sum()) if a.nnz and b.nnz else 0
+    if total == 0:
         return np.result_type(a.dtype, b.dtype)
     return np.asarray(mult(a.data[:1], b.data[:1])).dtype
 

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 from repro.core.traffic_matrix import TrafficMatrix, _non_negative
 from repro.errors import ShapeError
 from repro.graphs.noise import with_noise
-from repro.runtime.config import parallel_config
+from repro.runtime.config import blocked_config
 
 __all__ = ["overlay", "sequence", "challenge"]
 
@@ -24,14 +24,16 @@ def overlay(matrices: Iterable[TrafficMatrix]) -> TrafficMatrix:
     Packet counts add; colours keep the highest-priority code per cell
     (red > blue > grey), so adversarial annotation survives composition.
 
-    Classroom-sized matrices combine densely.  When the runtime has parallel
-    workers configured and the stack is large **and sparse**, the packet
-    grids are summed on the sparse engine through the expression layer: one
+    Classroom-sized matrices combine densely.  When the stack is **sparse**
+    and the runtime's gate (:func:`repro.runtime.config.blocked_config`)
+    sends the union of the later layers to parallel workers, the packet grids
+    are summed on the sparse engine through the expression layer: one
     accumulator assignment (``total(accum=PLUS) << union_all(rest)``) whose
     fused n-ary union runs a single row-blocked concatenate + coalesce
-    instead of a chain of pairwise unions.  Dense stacks always take the
-    dense path: a CSR round trip loses to one vectorized add when most cells
-    are occupied.
+    instead of a chain of pairwise unions.  The gate is asked about the work
+    of that union, as the union's own dispatcher asks, so the two agree.
+    Dense stacks always take the dense path: a CSR round trip loses to one
+    vectorized add when most cells are occupied.
     """
     matrices = list(matrices)
     if not matrices:
@@ -40,12 +42,12 @@ def overlay(matrices: Iterable[TrafficMatrix]) -> TrafficMatrix:
             "TrafficMatrix to combine"
         )
     first = matrices[0]
-    total_nnz = sum(m.nnz() for m in matrices)
+    rest_nnz = sum(m.nnz() for m in matrices[1:])
     total_cells = first.n * first.n * len(matrices)
     if (
         len(matrices) > 1
-        and total_nnz * 8 <= total_cells  # sparse enough (< ~12% occupied)
-        and parallel_config(total_nnz) is not None
+        and (first.nnz() + rest_nnz) * 8 <= total_cells  # sparse enough (< ~12% occupied)
+        and blocked_config(rest_nnz, first.n) is not None
     ):
         for m in matrices[1:]:
             first._check_compatible(m)

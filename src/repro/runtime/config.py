@@ -34,6 +34,7 @@ __all__ = [
     "get_config",
     "reset",
     "parallel_config",
+    "blocked_config",
     "serial_region",
     "in_serial_region",
 ]
@@ -274,12 +275,22 @@ def parallel_config(work_items: int) -> RuntimeConfig | None:
     """The active config if *work_items* should run in parallel, else ``None``.
 
     It folds together the opt-in (``workers > 1``), the work-size floor, and
-    the nested-region guard.  Kernels reach it through one gate, the
-    planner's ``_gate`` (:mod:`repro.assoc.planner`); only
-    :func:`repro.assoc.sparse.coalesce`, which runs below the planner, calls
-    it directly.
+    the nested-region guard.  The library reaches it through one gate,
+    :func:`blocked_config`.
     """
     cfg = _config
     if not cfg.parallel or work_items < cfg.min_parallel_work or in_serial_region():
         return None
     return cfg
+
+
+def blocked_config(work_items: int, n_rows: int) -> RuntimeConfig | None:
+    """The active config if *work_items* over *n_rows* rows should run on the
+    row-blocked engine (:mod:`repro.assoc.blocked`), else ``None``.
+
+    This is the one gate: the planner's kernel dispatchers,
+    :func:`repro.assoc.sparse.coalesce` and
+    :func:`repro.graphs.compose.overlay` all ask it.  A single row cannot be
+    split, so it stays serial whatever the config.
+    """
+    return parallel_config(work_items) if n_rows > 1 else None

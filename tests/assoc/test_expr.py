@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from repro.assoc.expr import (
+    EWiseMult,
     Mask,
     Mat,
     MatExpr,
     MatLeaf,
+    MxM,
+    MxV,
+    ReduceRows,
+    TransposeExpr,
     UnionAll,
     Vec,
     VecExpr,
@@ -24,6 +29,7 @@ from repro.assoc.semiring import (
     PLUS_MONOID,
     PLUS_TIMES,
 )
+from repro.assoc.planner import Step
 from repro.assoc.sparse import CSRMatrix, masked_select
 from repro.errors import ExpressionError, SparseFormatError
 
@@ -200,6 +206,192 @@ class TestPlanIntrospection:
         assert lazy(a).reduce_rows().plan(mask=allow).kernels[-1] == "masked_reduce_rows"
 
 
+# --------------------------------------------------------------------------- #
+# the full plan of every node kind under every valid mask kind
+# --------------------------------------------------------------------------- #
+
+_T_LEAF = "transposed (cached descriptor)"
+_NEVER_EXPANDED = "masked rows never expanded"
+_FULL_THEN_FILTER = "complement mask: full product then filter"
+_PUSHED_LEFT = "mask pushed to left operand"
+_PUSHED_T = "mask pushed through transpose"
+_ROWS_SKIPPED = "masked rows skipped"
+
+
+def _plan_tree(kind: str, a: CSRMatrix, b: CSRMatrix, c: CSRMatrix) -> MatExpr | VecExpr:
+    """Raw nodes, so shapes the builders would fold away (a 1-way union) stay."""
+    x = np.arange(20, dtype=np.int64)
+    ab = MxM(MatLeaf(a), MatLeaf(b), PLUS_TIMES)
+    return {
+        "leaf": MatLeaf(a),
+        "leaf_T": MatLeaf(a, transposed=True),
+        "mxm": ab,
+        "union2": UnionAll((MatLeaf(a), MatLeaf(b)), PLUS_MONOID),
+        "union3": UnionAll((MatLeaf(a), MatLeaf(b), MatLeaf(c)), PLUS_MONOID),
+        "union1_raw": UnionAll((MatLeaf(a),), PLUS_MONOID),
+        "union_compound": UnionAll((ab, MatLeaf(c)), PLUS_MONOID),
+        "ewise_mult": EWiseMult(MatLeaf(a), MatLeaf(b), PLUS_TIMES.mult),
+        "ewise_mult_compound": EWiseMult(ab, MatLeaf(c), PLUS_TIMES.mult),
+        "transpose_expr": TransposeExpr(ab),
+        "mxv": MxV(MatLeaf(a), x, PLUS_TIMES),
+        "mxv_compound": MxV(ab, x, PLUS_TIMES),
+        "reduce_rows": ReduceRows(MatLeaf(a), PLUS_MONOID),
+    }[kind]
+
+
+# (tree, mask kind, describe(), steps as Step(kernel, fused_mask, note) args)
+_PLAN_TABLE = [
+    ("leaf", "none", "leaf",
+     [("leaf",)]),
+    ("leaf", "mask", "leaf -> masked_select[fused mask]",
+     [("leaf",), ("masked_select", True)]),
+    ("leaf", "complement", "leaf -> masked_select[fused mask]",
+     [("leaf",), ("masked_select", True)]),
+    ("leaf_T", "none", "leaf",
+     [("leaf", False, _T_LEAF)]),
+    ("leaf_T", "mask", "leaf -> masked_select[fused mask]",
+     [("leaf", False, _T_LEAF), ("masked_select", True)]),
+    ("leaf_T", "complement", "leaf -> masked_select[fused mask]",
+     [("leaf", False, _T_LEAF), ("masked_select", True)]),
+    ("mxm", "none", "leaf -> leaf -> mxm",
+     [("leaf",), ("leaf",), ("mxm",)]),
+    ("mxm", "mask", "leaf -> leaf -> masked_mxm[fused mask]",
+     [("leaf",), ("leaf",), ("masked_mxm", True, _NEVER_EXPANDED)]),
+    ("mxm", "complement", "leaf -> leaf -> mxm -> mask_filter",
+     [("leaf",), ("leaf",), ("mxm",), ("mask_filter", False, _FULL_THEN_FILTER)]),
+    ("union2", "none", "leaf -> leaf -> ewise_union",
+     [("leaf",), ("leaf",), ("ewise_union",)]),
+    ("union2", "mask", "leaf -> leaf -> masked_union[fused mask]",
+     [("leaf",), ("leaf",), ("masked_union", True, "2-way fused, triples filtered pre-sort")]),
+    ("union2", "complement", "leaf -> leaf -> masked_union[fused mask]",
+     [("leaf",), ("leaf",), ("masked_union", True, "2-way fused, triples filtered pre-sort")]),
+    ("union3", "none", "leaf -> leaf -> leaf -> union_all",
+     [("leaf",), ("leaf",), ("leaf",), ("union_all", False, "3-way fused")]),
+    ("union3", "mask", "leaf -> leaf -> leaf -> masked_union[fused mask]",
+     [
+         ("leaf",),
+         ("leaf",),
+         ("leaf",),
+         ("masked_union", True, "3-way fused, triples filtered pre-sort"),
+     ]),
+    ("union3", "complement", "leaf -> leaf -> leaf -> masked_union[fused mask]",
+     [
+         ("leaf",),
+         ("leaf",),
+         ("leaf",),
+         ("masked_union", True, "3-way fused, triples filtered pre-sort"),
+     ]),
+    ("union1_raw", "none", "leaf -> union_all",
+     [("leaf",), ("union_all", False, "1-way fused")]),
+    ("union1_raw", "mask", "leaf -> masked_union[fused mask]",
+     [("leaf",), ("masked_union", True, "1-way fused, triples filtered pre-sort")]),
+    ("union1_raw", "complement", "leaf -> masked_union[fused mask]",
+     [("leaf",), ("masked_union", True, "1-way fused, triples filtered pre-sort")]),
+    ("union_compound", "none", "leaf -> leaf -> mxm -> leaf -> ewise_union",
+     [("leaf",), ("leaf",), ("mxm",), ("leaf",), ("ewise_union",)]),
+    ("union_compound", "mask", "leaf -> leaf -> masked_mxm[fused mask] -> leaf -> masked_union[fused mask]",
+     [
+         ("leaf",),
+         ("leaf",),
+         ("masked_mxm", True, _NEVER_EXPANDED),
+         ("leaf",),
+         ("masked_union", True, "2-way fused, triples filtered pre-sort"),
+     ]),
+    ("union_compound", "complement", "leaf -> leaf -> mxm -> mask_filter -> leaf -> masked_union[fused mask]",
+     [
+         ("leaf",),
+         ("leaf",),
+         ("mxm",),
+         ("mask_filter", False, _FULL_THEN_FILTER),
+         ("leaf",),
+         ("masked_union", True, "2-way fused, triples filtered pre-sort"),
+     ]),
+    ("ewise_mult", "none", "leaf -> leaf -> ewise_intersect",
+     [("leaf",), ("leaf",), ("ewise_intersect",)]),
+    ("ewise_mult", "mask", "leaf -> leaf -> masked_intersect[fused mask]",
+     [("leaf",), ("leaf",), ("masked_intersect", True, _PUSHED_LEFT)]),
+    ("ewise_mult", "complement", "leaf -> leaf -> masked_intersect[fused mask]",
+     [("leaf",), ("leaf",), ("masked_intersect", True, _PUSHED_LEFT)]),
+    ("ewise_mult_compound", "none", "leaf -> leaf -> mxm -> leaf -> ewise_intersect",
+     [("leaf",), ("leaf",), ("mxm",), ("leaf",), ("ewise_intersect",)]),
+    ("ewise_mult_compound", "mask", "leaf -> leaf -> masked_mxm[fused mask] -> leaf -> masked_intersect[fused mask]",
+     [
+         ("leaf",),
+         ("leaf",),
+         ("masked_mxm", True, _NEVER_EXPANDED),
+         ("leaf",),
+         ("masked_intersect", True, _PUSHED_LEFT),
+     ]),
+    ("ewise_mult_compound", "complement", "leaf -> leaf -> mxm -> mask_filter -> leaf -> masked_intersect[fused mask]",
+     [
+         ("leaf",),
+         ("leaf",),
+         ("mxm",),
+         ("mask_filter", False, _FULL_THEN_FILTER),
+         ("leaf",),
+         ("masked_intersect", True, _PUSHED_LEFT),
+     ]),
+    ("transpose_expr", "none", "leaf -> leaf -> mxm -> transpose",
+     [("leaf",), ("leaf",), ("mxm",), ("transpose",)]),
+    ("transpose_expr", "mask", "leaf -> leaf -> masked_mxm[fused mask] -> transpose",
+     [
+         ("leaf",),
+         ("leaf",),
+         ("masked_mxm", True, _NEVER_EXPANDED),
+         ("transpose", False, _PUSHED_T),
+     ]),
+    ("transpose_expr", "complement", "leaf -> leaf -> mxm -> mask_filter -> transpose",
+     [
+         ("leaf",),
+         ("leaf",),
+         ("mxm",),
+         ("mask_filter", False, _FULL_THEN_FILTER),
+         ("transpose", False, _PUSHED_T),
+     ]),
+    ("mxv", "none", "leaf -> mxv",
+     [("leaf",), ("mxv",)]),
+    ("mxv", "mask", "leaf -> masked_mxv[fused mask]",
+     [("leaf",), ("masked_mxv", True, _ROWS_SKIPPED)]),
+    ("mxv", "complement", "leaf -> masked_mxv[fused mask]",
+     [("leaf",), ("masked_mxv", True, _ROWS_SKIPPED)]),
+    ("mxv_compound", "none", "leaf -> leaf -> mxm -> mxv",
+     [("leaf",), ("leaf",), ("mxm",), ("mxv",)]),
+    ("mxv_compound", "mask", "leaf -> leaf -> mxm -> masked_mxv[fused mask]",
+     [("leaf",), ("leaf",), ("mxm",), ("masked_mxv", True, _ROWS_SKIPPED)]),
+    ("mxv_compound", "complement", "leaf -> leaf -> mxm -> masked_mxv[fused mask]",
+     [("leaf",), ("leaf",), ("mxm",), ("masked_mxv", True, _ROWS_SKIPPED)]),
+    ("reduce_rows", "none", "leaf -> reduce_rows",
+     [("leaf",), ("reduce_rows",)]),
+    ("reduce_rows", "mask", "leaf -> masked_reduce_rows[fused mask]",
+     [("leaf",), ("masked_reduce_rows", True)]),
+    ("reduce_rows", "complement", "leaf -> masked_reduce_rows[fused mask]",
+     [("leaf",), ("masked_reduce_rows", True)]),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, mask_kind, describe, steps",
+    _PLAN_TABLE,
+    ids=[f"{row[0]}-{row[1]}" for row in _PLAN_TABLE],
+)
+def test_plan_table(a, b, mask, kind, mask_kind, describe, steps):
+    """Pins every step's kernel, fused-mask flag and note, and that
+    ``execute()`` profiles exactly the planned steps and result."""
+    tree = _plan_tree(kind, a, b, random_csr(20, 20, 0.1, seed=9))
+    m = np.arange(20) % 3 == 0 if isinstance(tree, VecExpr) else mask
+    kw = {} if mask_kind == "none" else {"mask": m, "complement": mask_kind == "complement"}
+    plan = tree.plan(**kw)
+    assert plan.describe() == describe
+    assert plan.steps == tuple(Step(*args) for args in steps)
+    result = plan.execute()
+    assert tuple(p.kernel for p in plan.profile) == plan.kernels
+    expected = tree.new(**kw)
+    if isinstance(tree, VecExpr):
+        assert np.array_equal(result, expected)
+    else:
+        assert result == expected
+
+
 class TestMaskCoercion:
     def test_none_with_complement_rejected(self):
         with pytest.raises(ExpressionError):
@@ -214,6 +406,14 @@ class TestMaskCoercion:
         allow[3, :] = True
         out = lazy(a).select(allow)
         assert out == masked_select(a, CSRMatrix.from_dense(allow))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_raw_inner_dimension_mismatch_is_a_format_error(self, a, mask, masked):
+        """Raw nodes skip the builder's check; the kernel raises the same
+        error type with or without a mask."""
+        expr = MxM(MatLeaf(a), MatLeaf(random_csr(7, 20, 0.3, seed=4)), PLUS_TIMES)
+        with pytest.raises(SparseFormatError, match="inner dimension mismatch"):
+            expr.new(mask=mask if masked else None)
 
     def test_mask_shape_mismatch_rejected(self, a):
         with pytest.raises(ExpressionError):

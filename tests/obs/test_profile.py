@@ -5,7 +5,8 @@ import pytest
 
 from repro import runtime
 from repro.assoc import expr as E
-from repro.assoc.planner import evaluate, evaluate_vec
+from repro.assoc import planner
+from repro.assoc.planner import evaluate
 from repro.assoc.semiring import PLUS_MONOID
 from repro.assoc.sparse import CSRMatrix
 from repro.errors import ExpressionError
@@ -166,10 +167,24 @@ class TestProfileSemantics:
         evaluate(plan.expr)
         assert plan.profile is None
 
-    def test_evaluate_vec_rec_threading(self, a):
-        rec = []
-        evaluate_vec(E.lazy(a).mxv(np.ones(20)), _rec=rec)
-        assert [p.kernel for p in rec] == ["leaf", "mxv"]
+    def test_plain_evaluate_builds_no_step_and_reads_no_clock(self, a, b, mask, monkeypatch):
+        """Without a walk, ``_step`` is a bare call: on the serial runtime no
+        Step or StepProfile is built and the clock is never read."""
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the plain evaluate path touched the profiler")
+
+        monkeypatch.setattr(obs_metrics, "monotonic_ns", boom)
+        monkeypatch.setattr(planner, "Step", boom)
+        monkeypatch.setattr(planner, "StepProfile", boom)
+        x = np.arange(20, dtype=np.int64)
+        allow = np.arange(20) % 2 == 0
+        for m, complement in ((None, False), (mask, False), (mask, True)):
+            evaluate((E.lazy(a) @ b + a).T * b, E.as_mask(m, complement))
+            evaluate(E.union_all([a, b, a]), E.as_mask(m, complement))
+        planner.evaluate_vec(E.lazy(a).mxm(b).mxv(x))
+        planner.evaluate_vec(E.lazy(a).reduce_rows(), allow)
+        planner.evaluate_vec(E.lazy(a).mxv(x), allow)
 
     def test_traced_execute_opens_plan_spans(self, a, b):
         runtime.configure(tracing=True)

@@ -12,6 +12,7 @@ from repro.graphs.attack import full_attack
 from repro.graphs.compose import overlay
 from repro.graphs.ddos import full_ddos
 from repro.graphs.defense import defense, deterrence, full_posture, security
+from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture(autouse=True)
@@ -82,10 +83,24 @@ class TestOverlayRuntimePath:
     def test_sparse_overlay_matches_dense(self):
         stack = self._sparse_stack()
         dense = overlay(stack)
+        before = obs_metrics.counter("kernels.parallel_ewise_union").value
         with runtime.configured(workers=3, backend="thread", min_parallel_work=1, block_rows=9):
             sparse = overlay(stack)
         assert sparse == dense
         assert sparse.extended_colors == dense.extended_colors
+        # the union of the two later layers ran once, on the blocked engine
+        assert obs_metrics.counter("kernels.parallel_ewise_union").value == before + 1
+
+    def test_stays_dense_when_its_union_would_run_serially(self, monkeypatch):
+        """The whole stack clears the work floor but the union of the later
+        layers does not: overlay must not pay the CSR round trip for a union
+        that then runs serially."""
+        stack = self._sparse_stack()
+        dense = overlay(stack)
+        floor = sum(m.nnz() for m in stack)
+        monkeypatch.setattr(TrafficMatrix, "to_csr", lambda self: pytest.fail("took the sparse path"))
+        with runtime.configured(workers=3, backend="thread", min_parallel_work=floor):
+            assert overlay(stack) == dense
 
     def test_dense_stack_stays_on_dense_path(self, tpl10):
         """Mostly-occupied matrices must not pay the CSR round trip."""
