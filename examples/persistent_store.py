@@ -2,7 +2,8 @@
 
 Walkthrough of :mod:`repro.store`:
 
-1. build a mixed corpus and persist it write-through to a ScenarioStore,
+1. build a mixed corpus and persist it to a ScenarioStore (durable once
+   ``generate_batch`` returns),
 2. simulate a process restart (fresh store instance, cold in-memory cache)
    and serve the same corpus bit-identically from disk,
 3. inspect the store: entries, tier analytics, integrity verification,
@@ -42,7 +43,7 @@ def corpus() -> list[ScenarioSpec]:
 
 
 def build_and_persist(root: Path) -> float:
-    """Process 1: generate the corpus with the store as write-through L2."""
+    """Process 1: generate the corpus with the store as its durable L2."""
     specs = corpus()
     t0 = time.perf_counter()
     with ScenarioStore(root) as store:

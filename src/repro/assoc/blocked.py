@@ -174,7 +174,7 @@ KERNELS: dict[str, BlockedKernel] = {
         BlockedKernel("parallel_ewise_intersect", CSRMatrix._ewise_intersect_serial,
                       (ROWS, ROWS, EXTRA), _intersect_dtype),
         BlockedKernel("parallel_masked_mxm", _sparse._masked_mxm_serial,
-                      (ROWS, WHOLE, EXTRA, ROWS), _mxm_dtype),
+                      (ROWS, WHOLE, EXTRA, ROWS, EXTRA), _mxm_dtype),
         BlockedKernel("parallel_masked_mxv", _sparse._masked_mxv_serial,
                       (ROWS, WHOLE, EXTRA, ROWS)),
         BlockedKernel("parallel_masked_intersect", _sparse._masked_intersect_serial,
@@ -229,12 +229,15 @@ def _assemble(parts: list[CSRMatrix], dtype: np.dtype) -> CSRMatrix:
 
 
 def run_blocked(
-    kernel: BlockedKernel, operands: tuple, extra: tuple, config: RuntimeConfig | None = None
+    kernel: BlockedKernel, operands: tuple, extra: tuple, config: RuntimeConfig | None = None,
+    out_dtype: np.dtype | None = None,
 ) -> Any:
     """Run *kernel* over row blocks of *operands*; bit-identical to its serial call.
 
     Operand shapes are not checked here: the planner's dispatchers check
-    them before they gate a call into this engine.
+    them before they gate a call into this engine.  *out_dtype* is the
+    result dtype when the caller already knows it; otherwise the kernel's
+    dtype rule works it out.
     """
     cfg = get_config() if config is None else config
     work = _nnz(tuple(op for op, cut in zip(operands, kernel.sliced) if cut))
@@ -248,16 +251,24 @@ def run_blocked(
             if span is not _trace.NULL_SPAN:  # count_nonzero is O(n); trace-only
                 span.set(nnz_out=int(np.count_nonzero(out)))
             return out
-        out = _assemble(parts, kernel.dtype(operands, extra))
+        if out_dtype is None:
+            out_dtype = kernel.dtype(operands, extra)
+        out = _assemble(parts, out_dtype)
         span.set(nnz_out=out.nnz)
         return out
 
 
 def parallel_mxm(
-    a: CSRMatrix, b: CSRMatrix, semiring: Semiring, config: RuntimeConfig | None = None
+    a: CSRMatrix, b: CSRMatrix, semiring: Semiring, config: RuntimeConfig | None = None,
+    total: int | None = None,
 ) -> CSRMatrix:
-    """Row-blocked ESC product, bit-identical to the serial ``a.mxm(b)``."""
-    return run_blocked(KERNELS["parallel_mxm"], (a, b), (semiring,), config)
+    """Row-blocked ESC product, bit-identical to the serial ``a.mxm(b)``.
+
+    *total* is the expansion size ``b.row_nnz()[a.indices].sum()`` when the
+    caller (the planner's gate) has already counted it.
+    """
+    out_dtype = None if total is None else _sparse._mxm_out_dtype(a, b, semiring.mult, total)
+    return run_blocked(KERNELS["parallel_mxm"], (a, b), (semiring,), config, out_dtype)
 
 
 def parallel_mxv(
@@ -283,10 +294,16 @@ def parallel_ewise_intersect(
 
 def parallel_masked_mxm(
     a: CSRMatrix, b: CSRMatrix, semiring: Semiring, mask: CSRMatrix,
-    config: RuntimeConfig | None = None,
+    config: RuntimeConfig | None = None, total: int | None = None,
 ) -> CSRMatrix:
-    """Row-blocked fused masked product; the mask shares ``a``'s row tiling."""
-    return run_blocked(KERNELS["parallel_masked_mxm"], (a, b, mask), (semiring,), config)
+    """Row-blocked fused masked product; the mask shares ``a``'s row tiling.
+
+    *total* is the expansion size, as for :func:`parallel_mxm`.  Every block
+    is handed the product's dtype, so no block counts its expansion again.
+    """
+    out_dtype = _sparse._mxm_out_dtype(a, b, semiring.mult, total)
+    kernel = KERNELS["parallel_masked_mxm"]
+    return run_blocked(kernel, (a, b, mask), (semiring, out_dtype), config, out_dtype)
 
 
 def parallel_masked_mxv(

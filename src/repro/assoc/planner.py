@@ -238,7 +238,7 @@ def _dispatch_mxm(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> CSRMatrix:
         return CSRMatrix.empty(out_shape, np.result_type(a.dtype, b.dtype))
     cfg = blocked_config(total, a.shape[0])
     if cfg is not None:
-        return blocked.parallel_mxm(a, b, semiring, cfg)
+        return blocked.parallel_mxm(a, b, semiring, cfg, total)
     if _takes_native(a, b, semiring):
         _obs.counter("assoc.route.native").inc()
         return _native_mxm(a, b)
@@ -280,7 +280,7 @@ def _dispatch_masked_mxm(
     work = int(b.row_nnz()[a.indices].sum()) if a.nnz and b.nnz else 0
     cfg = blocked_config(work, a.shape[0])
     if cfg is not None:
-        return blocked.parallel_masked_mxm(a, b, semiring, mask, cfg)
+        return blocked.parallel_masked_mxm(a, b, semiring, mask, cfg, work)
     if _takes_native(a, b, semiring):
         _obs.counter("assoc.route.native").inc()
         return _native_masked_mxm(a, b, mask)

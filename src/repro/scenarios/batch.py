@@ -61,8 +61,9 @@ def generate_batch(
 
     ``store`` routes the batch through a durable
     :class:`~repro.store.ScenarioStore` instead: specs already on disk are
-    served (bit-identically) without building, and fresh builds are persisted
-    — the warm-start path for corpora that outlive the process.  Pass either
+    served (bit-identically) without building, and fresh builds are persisted,
+    durably when this returns — the warm-start path for corpora that outlive
+    the process.  Pass either
     ``cache`` or ``store``, not both; to combine them, attach the store to
     your cache (``ScenarioCache(..., store=...)``) and pass that.
 
@@ -82,7 +83,7 @@ def generate_batch(
         from repro.scenarios.cache import ScenarioCache
 
         # Ephemeral unbounded L1 in front of the store: hits resolve from
-        # disk pre-fan-out, fresh builds write through durably.
+        # disk pre-fan-out, fresh builds are flushed durably at the end.
         cache = ScenarioCache(max_entries=None, store=store)
 
     _obs.counter("scenario.batches").inc()

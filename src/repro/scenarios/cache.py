@@ -19,10 +19,15 @@ keys in the same order on every backend.
 **Tiers.**  With a :class:`~repro.store.ScenarioStore` attached the cache
 becomes a two-level hierarchy: the in-memory LRU is **L1**, the durable store
 is **L2**.  Reads fall through L1 → L2 → build (read-through: an L2 hit is
-promoted back into L1); writes go to both (write-through: every ``put`` also
-lands durably, so corpora survive restarts and are shared across processes).
-Eviction from L1 costs nothing durable — the entry is still in L2, and the
-next read quietly promotes it back.
+promoted back into L1).  The store's in-memory key view answers first, so a
+key the store does not hold costs a set lookup, not a query.  Writes go to
+both, write-behind: ``put`` hands L1's copy to the store's writer thread,
+which group-commits it, so corpora survive restarts and are shared across
+processes.  A written entry is durable after :meth:`ScenarioCache.flush`
+(or the store's ``flush``/``close``); the synchronous batch path and
+:meth:`ScenarioCache.warm` flush before they return.  Eviction from L1 costs
+nothing durable — the entry is still in L2 (or queued for it), and the next
+read quietly promotes it back.
 
 :class:`CacheAnalytics` is the observability surface: hits, misses,
 evictions, resident bytes, per-family hit rates, and — when a store is
@@ -155,10 +160,11 @@ class ScenarioCache:
         pay for itself.
     store:
         Optional durable L2 tier (a :class:`~repro.store.ScenarioStore` or
-        anything with its ``get``/``put``/``contains`` surface).  Reads fall
-        through to it on an L1 miss and promote hits back into memory;
-        writes go through to it, oversized-for-L1 entries included — the
-        byte budget bounds *memory*, not durability.
+        anything with its ``knows``/``get``/``contains``/``put_behind``/
+        ``flush`` surface).  Reads fall through to it on an L1 miss and
+        promote hits back into memory; writes are queued to it,
+        oversized-for-L1 entries included — the byte budget bounds
+        *memory*, not durability.
 
     All operations are thread-safe (one re-entrant lock): the asyncio service
     touches the cache from its event-loop thread and from ``to_thread`` delta
@@ -230,26 +236,35 @@ class ScenarioCache:
 
     def __contains__(self, spec: "ScenarioSpec | str") -> bool:
         """Presence peek across both tiers — counter-neutral, no LRU touch."""
+        key = self.key_of(spec)
         with self._lock:
-            if self.key_of(spec) in self._entries:
+            if key in self._entries:
                 return True
-        return self.store is not None and self.store.contains(self.key_of(spec))
+        return (
+            self.store is not None
+            and self.store.knows(key)
+            and self.store.contains(key)
+        )
 
-    def get(self, spec: ScenarioSpec) -> "TrafficMatrix | None":
+    def get(
+        self, spec: ScenarioSpec, key: str | None = None
+    ) -> "TrafficMatrix | None":
         """The cached matrix for *spec* (a fresh copy), or ``None`` on a miss.
 
         Counts one hit or miss and refreshes the entry's LRU position.  With
         a store attached, an L1 miss falls through to L2; an L2 hit counts as
-        a hit (tier-tagged) and is promoted back into memory.
+        a hit (tier-tagged) and is promoted back into memory.  ``key`` is
+        ``spec.cache_key()`` when the caller has already computed it.
         """
-        matrix, tier = self._get_with_tier(spec)
+        matrix, tier = self._get_with_tier(spec, key)
         return matrix if tier is not None else None
 
     def _get_with_tier(
-        self, spec: ScenarioSpec
+        self, spec: ScenarioSpec, key: str | None = None
     ) -> "tuple[TrafficMatrix | None, str | None]":
         """``(matrix, tier)`` with tier ``"l1"``, ``"l2"``, or ``None`` (miss)."""
-        key = self.key_of(spec)
+        if key is None:
+            key = self.key_of(spec)
         family = self._family_of(spec)
         with self._lock:
             entry = self._entries.get(key)
@@ -263,8 +278,9 @@ class ScenarioCache:
                 _obs.counter(f"scenario.cache.hits.{family}").inc()
                 return entry[1].copy(), "l1"
         # L1 miss — consult the durable tier outside the lock (disk latency
-        # must not serialise concurrent L1 readers).
-        if self.store is not None:
+        # must not serialise concurrent L1 readers), and only for a key its
+        # view holds: a cold miss never reaches SQLite.
+        if self.store is not None and self.store.knows(key):
             loaded = self.store.get(key)
             if loaded is not None:
                 self._promote(key, family, loaded)
@@ -300,46 +316,52 @@ class ScenarioCache:
             self._evict_over_budget()
             self._sync_gauges()
 
-    def put(self, spec: ScenarioSpec, matrix: "TrafficMatrix") -> str:
+    def put(
+        self, spec: ScenarioSpec, matrix: "TrafficMatrix", key: str | None = None
+    ) -> str:
         """Store a built matrix under the spec's content address.
 
         The cache keeps its own copy (callers may keep mutating theirs), then
         evicts least-recently-used entries until both bounds hold.  With a
-        store attached the write also goes through to L2 — including entries
-        too large for the memory budget, which L1 refuses but the durable
-        tier happily keeps.  Returns the cache key.
+        store attached that same copy is queued for L2 (write-behind, see
+        the module docstring) — including entries too large for the memory
+        budget, which L1 refuses but the durable tier happily keeps.
+        ``key`` is ``spec.cache_key()`` when the caller has already computed
+        it.  Returns the cache key.
         """
-        key = self.key_of(spec)
-        family = self._family_of(spec)
+        if key is None:
+            key = self.key_of(spec)
         size = matrix_bytes(matrix)
-        if self.max_bytes is not None and size > self.max_bytes:
-            # An entry larger than the whole budget can never pay for itself;
-            # admitting it would flush every other entry first.  Refuse it
-            # (and drop any stale entry under the same key) instead.
-            with self._lock:
-                old = self._entries.pop(key, None)
-                if old is not None:
-                    self._bytes -= old[2]
-                    self._evictions += 1
-                    _obs.counter("scenario.cache.evictions").inc()
-                self._sync_gauges()
-        else:
-            stored = matrix.copy()
-            with self._lock:
-                old = self._entries.pop(key, None)
-                if old is not None:
-                    self._bytes -= old[2]
-                self._entries[key] = (family, stored, size)
+        fits = self.max_bytes is None or size <= self.max_bytes
+        # L1's copy doubles as the one the store's writer encodes later;
+        # nothing mutates a cached matrix, so one copy serves both.
+        stored = matrix.copy() if fits or self.store is not None else None
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old[2]
+            if fits:
+                self._entries[key] = (self._family_of(spec), stored, size)
                 self._bytes += size
                 self._puts += 1
                 _obs.counter("scenario.cache.puts").inc()
                 self._evict_over_budget()
-                self._sync_gauges()
+            elif old is not None:
+                # An entry larger than the whole budget can never pay for
+                # itself; admitting it would flush every other entry first.
+                # Refuse it, and count the stale entry it displaces.
+                self._evictions += 1
+                _obs.counter("scenario.cache.evictions").inc()
+            self._sync_gauges()
         if self.store is not None:
-            # Write-through, outside the lock: the store encodes its own
-            # immutable frame, so later caller mutations can't leak in.
-            self.store.put(spec, matrix)
+            self.store.put_behind(key, spec, stored)
         return key
+
+    def flush(self) -> None:
+        """Wait until every write queued for the store is durable (no-op
+        without a store); re-raises a failure the store's writer met."""
+        if self.store is not None:
+            self.store.flush()
 
     def _evict_over_budget(self) -> None:
         """Drop LRU entries until both bounds hold (call with the lock held)."""
@@ -379,11 +401,12 @@ class ScenarioCache:
         ``"l2"`` (durable store), or ``"build"`` (freshly built, and stored
         through both tiers on the way out).
         """
-        cached, tier = self._get_with_tier(spec)
+        key = spec.cache_key()
+        cached, tier = self._get_with_tier(spec, key)
         if cached is not None and tier is not None:
             return cached, tier
         built = spec.build()
-        self.put(spec, built)
+        self.put(spec, built, key)
         return built, "build"
 
     def warm(
@@ -400,7 +423,8 @@ class ScenarioCache:
         hit rates), and duplicate specs in one call build once.  The builds
         themselves run through :func:`repro.scenarios.generate_batch` with
         this cache attached, so they parallelise like any batch and their
-        misses/puts are accounted normally.
+        misses/puts are accounted normally, and their store writes are
+        durable when this returns.
         """
         from repro.scenarios.batch import generate_batch
 
@@ -412,7 +436,7 @@ class ScenarioCache:
                     f"warm expects ScenarioSpec items, got {type(spec).__name__}"
                 )
             key = spec.cache_key()
-            if key in seen or spec in self:
+            if key in seen or key in self:
                 continue
             seen.add(key)
             missing.append(spec)

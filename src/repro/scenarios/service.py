@@ -123,8 +123,8 @@ def run_batch_sync(
 
     Cache hits resolve before the fan-out (their progress fires first, in
     spec order); misses fan out over the runtime executors and are stored on
-    completion.  Results always come back in input order, bit-identical on
-    every backend.
+    completion, durably before this returns when the cache has a store.
+    Results always come back in input order, bit-identical on every backend.
     """
     seq = _validate_batch(specs, what)
     total = len(seq)
@@ -157,6 +157,8 @@ def run_batch_sync(
             if cache is not None:
                 cache.put(spec, matrix)
             results[k] = matrix
+        if cache is not None:
+            cache.flush()
     return results  # type: ignore[return-value]
 
 
@@ -264,7 +266,11 @@ class ScenarioService:
         A :class:`~repro.store.ScenarioStore` to mount as the cache's durable
         L2 tier, so the service's corpus survives restarts.  Mutually
         exclusive with ``cache`` — a shared cache already decided its own
-        tiering; pass ``ScenarioCache(..., store=...)`` instead.
+        tiering; pass ``ScenarioCache(..., store=...)`` instead.  Store
+        writes are write-behind, off the request path: the store's writer
+        thread group-commits them, and every result the service served is
+        durable once :meth:`stop` returns (which re-raises a failure the
+        writer met).
     workers / backend:
         Runtime override for the executor builds run on (default: the
         process-wide :func:`repro.runtime.configure` setting).  The
@@ -363,7 +369,11 @@ class ScenarioService:
         return self
 
     async def stop(self, *, drain: bool = True) -> None:
-        """Stop the workers.  ``drain=True`` finishes queued work first."""
+        """Stop the workers.  ``drain=True`` finishes queued work first.
+
+        Then waits, off the event loop, until every store write the service
+        queued is durable: the service's durability barrier.
+        """
         if not self.running:
             return
         assert self._queue is not None
@@ -374,6 +384,8 @@ class ScenarioService:
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
         self._queue = None
+        if self.cache.store is not None:
+            await asyncio.to_thread(self.cache.flush)
 
     async def __aenter__(self) -> "ScenarioService":
         return await self.start()
@@ -416,7 +428,8 @@ class ScenarioService:
             if future.cancelled():
                 self._count("specs_cancelled")
                 return
-            matrix = self.cache.get(spec)
+            key = spec.cache_key()  # once per request, carried to the store
+            matrix = self.cache.get(spec, key)
             if matrix is None:
                 t0 = _obs.monotonic_ns()
                 try:
@@ -436,7 +449,7 @@ class ScenarioService:
                 )
                 # Cache even when the requester has gone: the work is done,
                 # and the next request for this spec should be a pure hit.
-                self.cache.put(spec, matrix)
+                self.cache.put(spec, matrix, key)
             if future.cancelled():
                 self._count("specs_cancelled")
             else:
@@ -518,7 +531,7 @@ class ScenarioService:
         seen: set[str] = set()
         for spec in seq:
             key = spec.cache_key()
-            if key in seen or spec in self.cache:
+            if key in seen or key in self.cache:
                 continue
             seen.add(key)
             missing.append(spec)

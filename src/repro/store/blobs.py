@@ -20,7 +20,8 @@ inside the store (same filesystem), is fsynced, and is then atomically
 renamed onto its final path; the containing directory is fsynced so the
 rename itself is durable.  A writer killed at any point leaves either the
 old blob, a staging file no reader ever looks at, or the complete new blob —
-never a torn frame under the live name.
+never a torn frame under the live name.  :meth:`BlobStore.write_many`
+publishes a batch the same way and fsyncs each touched directory once.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import struct
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +65,9 @@ _DIGEST_SIZE = hashlib.sha256().digest_size
 #: Monotone staging-file counter: unique within a process without drawing
 #: randomness (pid disambiguates across processes).
 _STAGING_IDS = itertools.count()
+
+#: A blob key: lowercase hex, at least three digits (two name the shard).
+_HEX_KEY = re.compile(r"[0-9a-f]{3,}")
 
 
 def encode_matrix(matrix: "TrafficMatrix") -> bytes:
@@ -187,6 +192,12 @@ class BlobStore:
         self.fsync = bool(fsync)
         self._staging = self.root / "staging"
         self._staging.mkdir(parents=True, exist_ok=True)
+        # The write and read paths work on plain strings: pathlib objects
+        # cost more per blob than the small writes themselves.
+        self._root = os.fspath(self.root)
+        self._staging_dir = os.fspath(self._staging)
+        #: shard directories known to exist, so a write skips ``mkdir``
+        self._shards: set[str] = set()
 
     # ------------------------------------------------------------------ #
     # paths
@@ -194,92 +205,116 @@ class BlobStore:
 
     @staticmethod
     def _check_key(key: str) -> str:
-        if not isinstance(key, str) or len(key) < 3 or not all(
-            c in "0123456789abcdef" for c in key
-        ):
+        if not isinstance(key, str) or _HEX_KEY.fullmatch(key) is None:
             raise StoreError(
                 f"blob keys are lowercase hex content addresses, got {key!r}"
             )
         return key
 
+    def _path(self, key: str) -> str:
+        key = self._check_key(key)
+        return f"{self._root}{os.sep}{key[:2]}{os.sep}{key}.blob"
+
     def path_for(self, key: str) -> Path:
         """The final on-disk path for one content address."""
-        key = self._check_key(key)
-        return self.root / key[:2] / f"{key}.blob"
+        return Path(self._path(key))
 
     # ------------------------------------------------------------------ #
     # io
     # ------------------------------------------------------------------ #
 
-    def _fsync_dir(self, path: Path) -> None:
+    @staticmethod
+    def _fsync_dir(path: str) -> None:
         fd = os.open(path, os.O_RDONLY)
         try:
             os.fsync(fd)
-            _obs.counter("store.fsyncs").inc()
         finally:
             os.close(fd)
 
     def write(self, key: str, data: bytes) -> Path:
-        """Atomically publish *data* under *key*; returns the final path.
+        """Atomically publish *data* under *key*; returns the final path."""
+        self.write_many([(key, data)])
+        return self.path_for(key)
 
-        Stage → fsync → rename → fsync(dir).  Concurrent writers of the same
-        key race only at the rename, and since equal keys imply equal bytes
-        (deterministic encoding of a content-determined matrix), whichever
-        rename lands last changes nothing.
+    def write_many(self, items: Sequence[tuple[str, bytes]]) -> None:
+        """Atomically publish every ``(key, data)`` frame; durable on return.
+
+        Per frame: stage → fsync → rename.  Then each shard directory the
+        batch renamed into is fsynced once, which makes all of its renames
+        durable together.  Concurrent writers of the same key race only at
+        the rename, and since equal keys imply equal bytes (deterministic
+        encoding of a content-determined matrix), whichever rename lands
+        last changes nothing.
         """
-        final = self.path_for(key)
-        final.parent.mkdir(parents=True, exist_ok=True)
-        staged = self._staging / f"{key}.{os.getpid()}.{next(_STAGING_IDS)}.tmp"
-        fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                if self.fsync:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                    _obs.counter("store.fsyncs").inc()
-            os.replace(staged, final)
-            if self.fsync:
-                self._fsync_dir(final.parent)
-        except BaseException:
-            # best-effort staging cleanup; a leftover staging file is inert
-            # (no reader looks at it) and gc() sweeps it anyway
+        touched: set[str] = set()
+        written = 0
+        pid = os.getpid()
+        for key, data in items:
+            shard = f"{self._root}{os.sep}{self._check_key(key)[:2]}"
+            if shard not in self._shards:
+                os.makedirs(shard, exist_ok=True)
+                self._shards.add(shard)
+            final = f"{shard}{os.sep}{key}.blob"
+            staged = f"{self._staging_dir}{os.sep}{key}.{pid}.{next(_STAGING_IDS)}.tmp"
+            fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
             try:
-                staged.unlink(missing_ok=True)
-            except OSError:
-                pass
-            raise
-        _obs.counter("store.blob_writes").inc()
-        _obs.counter("store.bytes_written").inc(len(data))
-        return final
+                try:
+                    view = memoryview(data)
+                    while view:
+                        view = view[os.write(fd, view) :]
+                    if self.fsync:
+                        os.fsync(fd)
+                finally:
+                    os.close(fd)
+                try:
+                    os.replace(staged, final)
+                except FileNotFoundError:  # the shard was removed under us
+                    os.makedirs(shard, exist_ok=True)
+                    os.replace(staged, final)
+            except BaseException:
+                # best-effort staging cleanup; a leftover staging file is
+                # inert (no reader looks at it) and gc() sweeps it anyway
+                try:
+                    os.unlink(staged)
+                except OSError:
+                    pass
+                raise
+            touched.add(shard)
+            written += len(data)
+        if self.fsync:
+            for shard in touched:
+                self._fsync_dir(shard)
+            _obs.counter("store.fsyncs").inc(len(items) + len(touched))
+        _obs.counter("store.blob_writes").inc(len(items))
+        _obs.counter("store.bytes_written").inc(written)
 
     def read(self, key: str) -> bytes:
         """The raw frame for *key*; raises :class:`StoreIntegrityError` if absent."""
-        path = self.path_for(key)
+        path = self._path(key)
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             raise StoreIntegrityError(
-                f"blob for key {key[:12]}… is missing from {path.parent}"
+                f"blob for key {key[:12]}… is missing from {os.path.dirname(path)}"
             ) from None
         _obs.counter("store.bytes_read").inc(len(data))
         return data
 
     def exists(self, key: str) -> bool:
-        return self.path_for(key).exists()
+        return os.path.exists(self._path(key))
 
     def delete(self, key: str) -> bool:
         """Remove one blob; returns whether a file was actually deleted."""
-        path = self.path_for(key)
         try:
-            path.unlink()
+            os.unlink(self._path(key))
         except FileNotFoundError:
             return False
         return True
 
     def size_of(self, key: str) -> int | None:
         try:
-            return self.path_for(key).stat().st_size
+            return os.stat(self._path(key)).st_size
         except FileNotFoundError:
             return None
 

@@ -36,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import StoreBusyError, StoreError
 from repro.obs import metrics as _obs
@@ -70,6 +70,27 @@ CREATE TABLE IF NOT EXISTS scenarios (
 CREATE INDEX IF NOT EXISTS idx_scenarios_family ON scenarios (family);
 CREATE INDEX IF NOT EXISTS idx_scenarios_base   ON scenarios (base);
 CREATE INDEX IF NOT EXISTS idx_scenarios_kind   ON scenarios (kind);
+"""
+
+_UPSERT = """
+INSERT INTO scenarios (
+    key, spec_json, base, family, n, seed, nnz,
+    payload_sha256, payload_bytes, kind, extra,
+    created_ns, updated_ns, writes
+) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 1)
+ON CONFLICT(key) DO UPDATE SET
+    spec_json      = excluded.spec_json,
+    base           = excluded.base,
+    family         = excluded.family,
+    n              = excluded.n,
+    seed           = excluded.seed,
+    nnz            = excluded.nnz,
+    payload_sha256 = excluded.payload_sha256,
+    payload_bytes  = excluded.payload_bytes,
+    kind           = excluded.kind,
+    extra          = excluded.extra,
+    updated_ns     = excluded.updated_ns,
+    writes         = scenarios.writes + 1
 """
 
 #: sqlite3 surfaces lock contention as OperationalError with one of these
@@ -218,8 +239,8 @@ class StoreIndex:
     # writes
     # ------------------------------------------------------------------ #
 
-    def upsert(
-        self,
+    @staticmethod
+    def row_params(
         key: str,
         spec_json: str,
         *,
@@ -232,63 +253,46 @@ class StoreIndex:
         payload_bytes: int | None = None,
         kind: str = "scenario",
         extra: Mapping[str, Any] | None = None,
-    ) -> None:
-        """Insert or refresh one row, transactionally.
+    ) -> tuple:
+        """One row in the form :meth:`upsert_many` takes."""
+        return (
+            key,
+            spec_json,
+            base,
+            family,
+            int(n),
+            int(seed),
+            None if nnz is None else int(nnz),
+            payload_sha256,
+            None if payload_bytes is None else int(payload_bytes),
+            kind,
+            json.dumps(dict(extra), sort_keys=True) if extra else None,
+        )
+
+    def upsert(self, key: str, spec_json: str, **fields: Any) -> None:
+        """Insert or refresh one row (the fields of :meth:`row_params`)."""
+        self.upsert_many([self.row_params(key, spec_json, **fields)])
+
+    def upsert_many(self, rows: Sequence[tuple]) -> None:
+        """Insert or refresh every row in one transaction: all commit or none.
 
         Re-upserting an existing key keeps ``created_ns``, bumps
         ``updated_ns``/``writes``, and replaces everything else — last writer
         wins, which is safe because a content address determines its payload.
         """
-        extra_json = json.dumps(dict(extra), sort_keys=True) if extra else None
 
         def _txn() -> None:
             now = _obs.wall_ns()
             self._conn.execute("BEGIN IMMEDIATE")
             if self.fault_hook is not None:
                 self.fault_hook("index_in_txn")
-            self._conn.execute(
-                """
-                INSERT INTO scenarios (
-                    key, spec_json, base, family, n, seed, nnz,
-                    payload_sha256, payload_bytes, kind, extra,
-                    created_ns, updated_ns, writes
-                ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 1)
-                ON CONFLICT(key) DO UPDATE SET
-                    spec_json      = excluded.spec_json,
-                    base           = excluded.base,
-                    family         = excluded.family,
-                    n              = excluded.n,
-                    seed           = excluded.seed,
-                    nnz            = excluded.nnz,
-                    payload_sha256 = excluded.payload_sha256,
-                    payload_bytes  = excluded.payload_bytes,
-                    kind           = excluded.kind,
-                    extra          = excluded.extra,
-                    updated_ns     = excluded.updated_ns,
-                    writes         = scenarios.writes + 1
-                """,
-                (
-                    key,
-                    spec_json,
-                    base,
-                    family,
-                    int(n),
-                    int(seed),
-                    None if nnz is None else int(nnz),
-                    payload_sha256,
-                    None if payload_bytes is None else int(payload_bytes),
-                    kind,
-                    extra_json,
-                    now,
-                    now,
-                ),
-            )
+            self._conn.executemany(_UPSERT, [row + (now, now) for row in rows])
             if self.fault_hook is not None:
                 self.fault_hook("index_pre_commit")
             self._conn.execute("COMMIT")
 
         self._with_retry("upsert", _txn)
-        _obs.counter("store.index.upserts").inc()
+        _obs.counter("store.index.upserts").inc(len(rows))
 
     def delete(self, key: str) -> bool:
         """Remove one row; returns whether it existed."""
@@ -368,6 +372,46 @@ class StoreIndex:
             ]
 
         return self._with_retry("keys", _query)
+
+    def payload_rows(self, page: int = 1024) -> Iterator[tuple[str, str]]:
+        """``(key, payload_sha256)`` of every payload-bearing row, in key order.
+
+        Fetched a page at a time (keyset pagination), so a walk over a large
+        index holds one page in memory and no cursor across pages.
+        """
+        after = ""
+
+        def _query() -> list[tuple[str, str]]:
+            return [
+                (row[0], row[1])
+                for row in self._conn.execute(
+                    "SELECT key, payload_sha256 FROM scenarios "
+                    "WHERE payload_sha256 IS NOT NULL AND key > ? "
+                    "ORDER BY key LIMIT ?",
+                    (after, page),
+                )
+            ]
+
+        while True:
+            rows = self._with_retry("payload_rows", _query)
+            yield from rows
+            if len(rows) < page:
+                return
+            after = rows[-1][0]
+
+    def kind_totals(self) -> dict[str, tuple[int, int]]:
+        """``kind -> (rows, payload bytes)`` from one aggregate query."""
+
+        def _query() -> dict[str, tuple[int, int]]:
+            return {
+                row[0]: (int(row[1]), int(row[2]))
+                for row in self._conn.execute(
+                    "SELECT kind, COUNT(*), COALESCE(SUM(payload_bytes), 0) "
+                    "FROM scenarios GROUP BY kind ORDER BY kind"
+                )
+            }
+
+        return self._with_retry("kind_totals", _query)
 
     def count(self) -> int:
         def _query() -> int:

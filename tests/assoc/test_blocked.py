@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro import runtime
+from repro.assoc import sparse as sparse_mod
 from repro.assoc.blocked import KERNELS, _block_task, parallel_mxm, parallel_mxv
+from repro.assoc.expr import lazy
 from repro.assoc.semiring import LOR_LAND, MIN_PLUS, PLUS_TIMES
 from repro.assoc.sparse import CSRMatrix
 from repro.errors import SparseFormatError
@@ -65,6 +67,46 @@ class TestPlannerGateChecksShapes:
         with runtime.configured(workers=2, backend="thread", min_parallel_work=1):
             with pytest.raises(SparseFormatError):
                 a.mxv(np.zeros(5))
+
+
+class TestPlannerGateCountsExpansionOnce:
+    """A gated blocked product reuses the gate's expansion count for its dtype."""
+
+    @pytest.fixture
+    def dtype_totals(self, monkeypatch):
+        seen = []
+        true_rule = sparse_mod._mxm_out_dtype
+
+        def spy(a, b, mult, total=None):
+            seen.append((a.shape[0], total))
+            return true_rule(a, b, mult, total)
+
+        monkeypatch.setattr(sparse_mod, "_mxm_out_dtype", spy)
+        return seen
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_blocked_route_counts_once(self, dtype_totals, masked):
+        a = random_csr(40, 30, 0.15, seed=21)
+        b = random_csr(30, 40, 0.15, seed=22)
+        mask = random_csr(40, 40, 0.3, seed=23) if masked else None
+        expansion = int(b.row_nnz()[a.indices].sum())
+
+        def product():
+            expr = lazy(a).mxm(b)
+            return expr.new(mask=mask) if masked else expr.new()
+
+        serial = product()
+        with runtime.configured(workers=2, backend="thread", min_parallel_work=1):
+            blocked = product()
+        assert blocked == serial and blocked.dtype == serial.dtype
+        # the dtype rule ran on the gate's count, once for the whole product,
+        # and no row block counted its expansion for it again
+        assert dtype_totals == [(a.shape[0], expansion)]
+
+    def test_direct_call_still_counts_for_itself(self, dtype_totals):
+        a = random_csr(12, 12, 0.3, seed=24)
+        assert parallel_mxm(a, a, PLUS_TIMES, blocks_of(3)) == a.mxm(a)
+        assert dtype_totals == [(12, None)]
 
 
 class TestKernelTable:

@@ -136,6 +136,29 @@ class TestQueries:
         _upsert(index, ScenarioSpec(base="ring", params={}, n=8, seed=1))
         assert index.count() == 1
 
+    def test_payload_rows_page_through_payload_bearing_rows(self, index):
+        specs = [ScenarioSpec(base="ring", params={}, n=8, seed=s) for s in range(7)]
+        for spec in specs[1:]:
+            _upsert(index, spec)
+        _upsert(index, specs[0], payload_sha256=None, payload_bytes=None)
+        expected = sorted(spec.cache_key() for spec in specs[1:])
+        for page in (1, 2, 6, 1024):  # across, at and inside page boundaries
+            rows = list(index.payload_rows(page=page))
+            assert [key for key, _ in rows] == expected
+            assert {digest for _, digest in rows} == {"ab" * 32}
+
+    def test_kind_totals(self, index):
+        _upsert(index, ScenarioSpec(base="ring", params={}, n=8, seed=1))
+        _upsert(index, ScenarioSpec(base="ring", params={}, n=8, seed=2), kind="repro")
+        _upsert(
+            index,
+            ScenarioSpec(base="ring", params={}, n=8, seed=3),
+            kind="repro",
+            payload_sha256=None,
+            payload_bytes=None,
+        )
+        assert index.kind_totals() == {"repro": (2, 123), "scenario": (1, 123)}
+
 
 class TestContention:
     def test_busy_retries_then_succeeds(self, tmp_path):

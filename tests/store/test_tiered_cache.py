@@ -87,6 +87,7 @@ class TestWriteThrough:
         cache = ScenarioCache(store=store)
         specs = [spec_of(k) for k in range(3)]
         built = [cache.fetch(spec)[0] for spec in specs]
+        cache.flush()  # writes are write-behind: durable after the flush
         # a fresh process with a cold L1 serves every spec from disk
         with ScenarioStore(tmp_path / "store", fsync=False) as reopened:
             cold = ScenarioCache(store=reopened)
@@ -131,11 +132,15 @@ class TestIntegration:
         async def main():
             async with ScenarioService(store=store) as service:
                 results = await service.generate([spec])
-                return results, service.stats()
+                running = service.stats()["store"]
+            return results, running, service.stats()["store"]
 
-        results, stats = asyncio.run(main())
+        results, running, stopped = asyncio.run(main())
         assert results == [spec.build()]
-        assert stats["store"]["entries"] == 1
+        # while serving, the write is committed or still queued ...
+        assert running["entries"] + running["pending_writes"] == 1
+        # ... and stop() is the barrier that makes it durable
+        assert stopped["entries"] == 1 and stopped["pending_writes"] == 0
 
     def test_service_warm_starts_from_store(self, store, tmp_path):
         spec = spec_of(8)
