@@ -8,7 +8,10 @@ when scipy imports, and ESC otherwise.  Expected shape: dense wins at tiny
 n, sparse backends win as n grows with fixed density; scipy's C kernels beat
 our NumPy ESC by a constant factor — the documented cost of keeping the
 semiring generic in pure Python — and the routed int64 product sits near
-scipy, paying only the canonical-order readout.
+scipy, paying only the canonical-order readout.  The float64 table prices
+ESC against the native route (which float64 ``plus.times`` products now
+take too) from 10^3 to 10^6 terms, and the compress step's left-to-right
+float64 sum against numpy's ``reduceat``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from conftest import format_table, write_artifact
 
+from repro.assoc import sparse
 from repro.assoc.semiring import MIN_PLUS, PLUS_TIMES
 from repro.assoc.sparse import CSRMatrix
 
@@ -81,6 +85,72 @@ def test_mxm_backend_scaling(benchmark, artifacts):
         " for bit."
     )
     write_artifact(artifacts / "assoc_scaling.txt", "Ablation: sparse mxm backends", body)
+
+
+def time_best(fn, repeats: int) -> float:
+    return min(time_once(fn) for _ in range(repeats))
+
+
+def expansion(m: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The ESC expansion of ``m @ m``: keys and values, stable-sorted by key."""
+    counts = m.row_nnz()[m.indices]
+    total = int(counts.sum())
+    a_rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), m.row_nnz())
+    ramp = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    b_pos = np.repeat(m.indptr[m.indices], counts) + ramp
+    key = np.repeat(a_rows, counts) * m.shape[1] + m.indices[b_pos]
+    vals = np.repeat(m.data, counts) * m.data[b_pos]
+    order = np.argsort(key, kind="stable")
+    return key[order], vals[order]
+
+
+def test_float64_esc_vs_native(artifacts):
+    """Float64 ESC against the native route at 10^3-10^6 product terms.
+
+    Both return the same bits (every float64 sum runs left to right in
+    ascending ``k``), so the only assertions are equalities; the smallest
+    rows show the native route's fixed cost.  The last two columns time the
+    compress step's run sums alone over the sorted expansion: the
+    ``bincount`` rule against the ``reduceat`` it replaced.
+    """
+    degree = 8  # stored entries per row, so terms ~ n * degree**2
+    rng = np.random.default_rng(11)
+    rows = []
+    for target in (1_000, 3_000, 5_000, 7_000, 10_000, 100_000, 1_000_000):
+        n = max(2, target // degree**2)
+        nnz = n * degree
+        m = CSRMatrix.from_triples(
+            rng.integers(0, n, nnz), rng.integers(0, n, nnz), rng.random(nnz), (n, n)
+        )
+        key, vals = expansion(m)
+        boundary = np.empty(key.size, dtype=bool)
+        boundary[0] = True
+        np.not_equal(key[1:], key[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        esc = m._mxm_serial(m, PLUS_TIMES)
+        assert sparse._native_mxm(m, m) == esc
+        assert m.mxm(m) == esc
+        assert np.array_equal(sparse._float_run_sums(vals, boundary, starts), esc.data)
+        repeats = 3 if key.size > 200_000 else 10
+        t_esc = time_best(lambda: m._mxm_serial(m, PLUS_TIMES), repeats)
+        t_native = time_best(lambda: sparse._native_mxm(m, m), repeats)
+        t_sums = time_best(lambda: sparse._float_run_sums(vals, boundary, starts), repeats)
+        t_reduceat = time_best(lambda: np.add.reduceat(vals, starts), repeats)
+        rows.append([
+            f"{key.size}",
+            f"{t_esc * 1e3:.2f} ms",
+            f"{t_native * 1e3:.2f} ms",
+            f"{t_sums * 1e3:.3f} ms",
+            f"{t_reduceat * 1e3:.3f} ms",
+        ])
+    body = format_table(
+        ["terms", "ESC float64", "native float64", "sums: bincount", "sums: reduceat"],
+        rows,
+    ) + (
+        "\n\nThe routed float64 product runs native at every size; where the ESC"
+        "\ncolumn is lower, its smaller fixed cost would win, with the same bits."
+    )
+    write_artifact(artifacts / "assoc_float64_routes.txt", "Ablation: float64 ESC vs native", body)
 
 
 def test_semiring_genericity_no_extra_cost(benchmark):

@@ -13,6 +13,7 @@ bookkeeping — the property that makes streaming traffic-matrix accumulation
 from __future__ import annotations
 
 import bisect
+import functools
 import operator
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -25,9 +26,32 @@ from repro.errors import AssocArrayError
 __all__ = ["AssociativeArray"]
 
 
+#: How many label axes the validation memo and the position-map memo each
+#: hold.  A few axes recur (a fixed endpoint axis, the current merge union),
+#: and a position map over 4096 labels takes ~0.2 MB, so both stay small.
+_AXIS_MEMO = 8
+
+
 def _as_labels(keys: Iterable[str]) -> tuple[str, ...]:
-    """Validate one label axis where it enters: non-empty strings, strictly increasing."""
-    labels = tuple(map(str, keys))
+    """Validate one label axis where it enters: non-empty strings, strictly increasing.
+
+    A tuple of strings is validated once and then served from a small memo.
+    Anything else takes the uncached path: ``(1,)``, ``(1.0,)`` and
+    ``(True,)`` are equal and hash equal, yet label as ``"1"``, ``"1.0"``
+    and ``"True"``, so one must never be served another's result.
+    """
+    if type(keys) is tuple and all(map(str.__instancecheck__, keys)):
+        return _str_axis(keys)
+    return _checked(tuple(map(str, keys)))
+
+
+@functools.lru_cache(maxsize=_AXIS_MEMO)
+def _str_axis(keys: tuple[str, ...]) -> tuple[str, ...]:
+    """:func:`_checked` over a tuple of ``str``, memoised (errors never are)."""
+    return _checked(tuple(map(str, keys)))
+
+
+def _checked(labels: tuple[str, ...]) -> tuple[str, ...]:
     if "" in labels:
         raise AssocArrayError("associative-array keys may not be empty strings")
     if not all(map(operator.lt, labels, labels[1:])):
@@ -58,11 +82,17 @@ def _remap(labels: tuple[str, ...], target: tuple[str, ...]) -> np.ndarray:
     """
     if labels == target:
         return np.arange(len(labels), dtype=np.int64)
-    position = dict(zip(target, range(len(target))))
+    position = _positions(target)
     try:
         return np.fromiter(map(position.__getitem__, labels), dtype=np.int64, count=len(labels))
     except KeyError:
         raise AssocArrayError("reindex axes must be supersets of the current axes") from None
+
+
+@functools.lru_cache(maxsize=_AXIS_MEMO)
+def _positions(axis: tuple[str, ...]) -> dict[str, int]:
+    """Label → position on a validated *axis*, built once per axis (read-only)."""
+    return dict(zip(axis, range(len(axis))))
 
 
 class AssociativeArray:
@@ -257,12 +287,21 @@ class AssociativeArray:
         return self._embed(_as_labels(row_labels), _as_labels(col_labels))
 
     def _embed(self, r_axis: tuple[str, ...], c_axis: tuple[str, ...]) -> "AssociativeArray":
-        """:meth:`reindex` onto axes that are already validated."""
+        """:meth:`reindex` onto axes that are already validated.
+
+        Every axis is sorted, so both maps are increasing: rows keep their
+        order and columns stay sorted within each row, and the CSR arrays
+        carry over with relabelled indices and no sort.
+        """
         r_map = _remap(self.row_labels, r_axis)
         c_map = _remap(self.col_labels, c_axis)
-        r, c, v = self.csr.triples()
-        csr = CSRMatrix.from_triples(
-            r_map[r], c_map[c], v, (len(r_axis), len(c_axis))
+        row_nnz = np.zeros(len(r_axis), dtype=np.int64)
+        row_nnz[r_map] = self.csr.row_nnz()
+        indptr = np.zeros(len(r_axis) + 1, dtype=np.int64)
+        np.cumsum(row_nnz, out=indptr[1:])
+        csr = CSRMatrix(
+            (len(r_axis), len(c_axis)), indptr, c_map[self.csr.indices], self.csr.data.copy(),
+            _trusted=True,
         )
         return AssociativeArray(r_axis, c_axis, csr, _trusted=True)
 

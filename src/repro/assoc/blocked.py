@@ -8,10 +8,11 @@ it.  The planner (:mod:`repro.assoc.planner`) decides *whether* a kernel
 runs blocked; this module decides *how*.
 
 **Bit-identical results.**  The serial kernels stable-sort expansion terms by
-``row * n_cols + col`` and combine duplicates with ``reduceat``.  Row blocks
-partition that key space into disjoint, ordered ranges and keep the order of
-terms inside each range, so per-block outputs concatenate into exactly the
-serial output, float rounding included.  Masks share the operand's row
+``row * n_cols + col`` and combine each run of duplicates on its own: with
+``reduceat``, or left to right for float64 ``plus``.  Row blocks partition
+that key space into disjoint, ordered ranges and keep the order of terms
+inside each range, so per-block outputs concatenate into exactly the serial
+output, float rounding included.  Masks share the operand's row
 tiling and filter per row, so the fused masked kernels keep the property.
 
 **Zero-copy process dispatch.**  On the ``process`` backend, operands above
@@ -341,7 +342,7 @@ def parallel_coalesce(
 
     The stable block partition keeps each coordinate's duplicates in their
     original relative order inside exactly one block, so per-block stable
-    sorts and ``reduceat`` reproduce the serial output bit-for-bit.
+    sorts and run sums reproduce the serial output bit-for-bit.
     """
     cfg = get_config() if config is None else config
     n_rows = shape[0]

@@ -19,12 +19,12 @@ Fusion rules:
   operand of intersections, so each sub-expression evaluates already-masked;
 * **fused masked kernels** — a non-complemented mask on ``mxm`` runs the
   masked ESC kernel (masked-out rows are never expanded; the full product is
-  never materialised), or for a serial int64 ``plus.times`` product its
-  native counterpart (mask-touched rows only, merged with the mask); masks
-  on unions/intersections filter triples before the coalesce sort; a
-  *complemented* mask on ``mxm`` is the one case that computes the full
-  product and filters (the complement of a sparse mask keeps almost every
-  entry, so there is nothing to skip);
+  never materialised), or, for a serial int64 or float64 ``plus.times``
+  product, its native counterpart (mask-touched rows only, merged with the
+  mask); masks on unions/intersections filter triples before the coalesce
+  sort; a *complemented* mask on ``mxm`` is the one case that computes the
+  full product and filters (the complement of a sparse mask keeps almost
+  every entry, so there is nothing to skip);
 * **union chain collapse** — ``A + B + C`` (same monoid) runs one
   concatenate + coalesce instead of two pairwise unions.
 
@@ -217,12 +217,13 @@ class Plan:
 # These eight helpers are the only place a planned kernel chooses between its
 # serial kernel and the row-blocked engine (``repro.assoc.blocked``): each
 # checks its operand shapes, then asks ``blocked_config``.  The serial
-# branches keep their early returns, the native scipy route and the route
-# counters.  ``sparse.coalesce`` asks the same gate itself, because it runs
-# below the planner.  How a
-# gated call travels (pickled row blocks, or shared-memory segments on the
-# ``process`` backend) is decided inside the blocked engine and is invisible
-# here: both routes run the same serial kernels over the same row partition.
+# branches keep their early returns and the route counters; the two product
+# dispatchers then ask the one route gate, ``_takes_native``.
+# ``sparse.coalesce`` asks ``blocked_config`` itself, because it runs below
+# the planner.  How a gated call travels (pickled row blocks, or
+# shared-memory segments on the ``process`` backend) is decided inside the
+# blocked engine and is invisible here: both routes run the same serial
+# kernels over the same row partition.
 # --------------------------------------------------------------------------- #
 
 

@@ -10,7 +10,9 @@ GEMM: every product term ``mult(A(i,k), B(k,j))`` is materialised by a single
 ``np.repeat`` gather, then duplicates are combined with the additive monoid's
 ``reduceat``.  This is the same dataflow GraphBLAS implementations use, which
 keeps the semiring generic: ``min.plus`` shortest paths and ``plus.times``
-packet counting share the code path.
+packet counting share the code path.  Float64 ``plus`` is the one exception:
+its runs are summed left to right from 0.0, in ascending inner index ``k``
+for a product, on every route (see :func:`_float_run_sums`).
 
 When the process opts in via :func:`repro.runtime.configure`, the heavy
 kernels run on the row-blocked parallel engine in :mod:`repro.assoc.blocked`:
@@ -19,8 +21,8 @@ element-wise ops, and :func:`coalesce`, which runs below the planner, gates
 itself.  Blocked execution preserves the serial kernels' exact per-row term
 order, so both paths return bit-identical matrices.
 
-Serial int64 ``plus.times`` products take a native route through scipy's
-compiled SpGEMM when scipy imports; ESC stays the exact reference it is
+Serial int64 and float64 ``plus.times`` products take a native route
+through scipy's compiled SpGEMM when scipy imports; ESC stays the exact reference it is
 checked against (see the native-route section below).
 """
 
@@ -53,7 +55,8 @@ def coalesce(
     Returns ``(rows, cols, vals)`` in canonical order (sorted by row, then
     column, no duplicates).  This is the single entry point through which all
     kernels normalise their output, so canonical order is an invariant of
-    every :class:`CSRMatrix`.
+    every :class:`CSRMatrix`.  Duplicates combine in input order; float64
+    ``plus`` adds them strictly left to right (:func:`_float_run_sums`).
     """
     n_rows, n_cols = shape
     rows = np.asarray(rows, dtype=np.int64)
@@ -97,6 +100,9 @@ def _coalesce_core(
     if starts.size == key.size:  # no duplicates
         uniq_key = key
         out_vals = vals
+    elif vals.dtype == np.float64 and add.ufunc is np.add:
+        uniq_key = key[starts]
+        out_vals = _float_run_sums(vals, boundary, starts)
     else:
         uniq_key = key[starts]
         # duplicate runs start at strictly increasing offsets, so no segment
@@ -105,6 +111,29 @@ def _coalesce_core(
         if out_vals.dtype != vals.dtype:  # reduceat upcasts bools and small ints
             out_vals = out_vals.astype(vals.dtype)
     return uniq_key // n_cols, uniq_key % n_cols, out_vals
+
+
+def _float_run_sums(vals: np.ndarray, boundary: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The float64 sum rule: each run of *vals* (runs begin where *boundary*
+    is set, at *starts*) summed strictly left to right, ``(t1 + t2) + t3
+    ...``, as a Python loop would.
+
+    ``bincount`` accumulates its weights in input order into a 0.0-filled
+    array, which is also the order scipy's ``csr_matmat`` uses for a product
+    (each entry from 0.0, ascending ``k``), and what lets float64 products
+    take the native route.  ``reduceat`` sums a run's tail before adding it
+    to the first term (``t1 + (t2 + t3)``), which parts from that in the
+    last bits.  Starting from 0.0 changes a sum only for a run of
+    nothing but -0.0 (to +0.0), so such runs are set back to -0.0: a run's
+    sum then never depends on whether other runs had duplicates.  A product
+    prunes zero sums of either sign, so the routes still agree.
+    """
+    out = np.bincount(np.cumsum(boundary) - 1, weights=vals, minlength=starts.size)
+    zero = np.flatnonzero(out == 0)
+    if zero.size:
+        negative_zero = np.logical_and.reduceat((vals == 0) & np.signbit(vals), starts)
+        out[zero[negative_zero[zero]]] = -0.0
+    return out
 
 
 def _esc_compress(
@@ -464,8 +493,10 @@ class CSRMatrix:
     def mxm(self, other: "CSRMatrix", semiring: Semiring = PLUS_TIMES) -> "CSRMatrix":
         """Sparse matrix product over *semiring* using vectorized ESC.
 
-        (A serial int64 ``plus.times`` product runs on the native route
-        instead, which returns the same matrix bit for bit.)
+        (A serial int64 or float64 ``plus.times`` product runs on the
+        native route instead, which returns the same matrix bit for bit.)  Float64 ``plus`` sums each
+        output entry's terms left to right from 0.0 in ascending ``k`` on
+        every route; NaN payloads are not part of that contract.
 
         Expansion: for each stored ``A(i, k)``, gather row ``k`` of ``B``; the
         per-entry gather lengths come from ``B``'s row-nnz, and the flat gather
@@ -566,28 +597,33 @@ class CSRMatrix:
 
 
 # ---------------------------------------------------------------------- #
-# native route: int64 plus.times through scipy's compiled SpGEMM
+# native route: int64 and float64 plus.times through scipy's compiled SpGEMM
 #
-# Integer addition wraps modulo 2**64 in any order, so scipy's row-wise
-# accumulation returns exactly the ESC sums, and ``csr_matmat`` drops zero
-# sums just as ESC prunes the semiring's zero.  Every other dtype and
-# semiring stays on ESC (float sums depend on order), and ESC remains the
-# exact reference the oracles check this route against.
+# scipy's ``csr_matmat`` accumulates each output entry from 0 over the
+# inner index ``k`` in ascending order and drops zero sums, just as ESC
+# prunes the semiring's zero.  int64 sums wrap modulo 2**64 in any order;
+# float64 sums follow the one order ESC's compress also uses (see
+# ``_float_run_sums``), so both routes return the same bits.  Every other
+# dtype, mixed dtypes and every other semiring stay on ESC, and ESC remains
+# the exact reference the oracles check this route against.
 # ---------------------------------------------------------------------- #
+
+_NATIVE_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
 def _takes_native(a: "CSRMatrix", b: "CSRMatrix", semiring: Semiring) -> bool:
-    """Whether a serial product of *a* and *b* runs on the native route."""
+    """Whether a serial product of *a* and *b* runs on the native route:
+    the planner's one route gate."""
     return (
         semiring == PLUS_TIMES
-        and a.dtype == np.int64
-        and b.dtype == np.int64
+        and a.dtype == b.dtype
+        and a.dtype in _NATIVE_DTYPES
         and backends.has_scipy()
     )
 
 
 def _native_mxm(a: "CSRMatrix", b: "CSRMatrix") -> "CSRMatrix":
-    """``a @ b`` over int64 ``plus.times`` in canonical CSR order.
+    """``a @ b`` over int64 or float64 ``plus.times`` in canonical CSR order.
 
     scipy leaves each output row's columns unsorted, and sorting them costs
     more than the product.  So this multiplies the transposes instead,
@@ -603,7 +639,8 @@ def _native_mxm(a: "CSRMatrix", b: "CSRMatrix") -> "CSRMatrix":
 
 
 def _native_masked_mxm(a: "CSRMatrix", b: "CSRMatrix", mask: "CSRMatrix") -> "CSRMatrix":
-    """``C⟨M⟩ = A @ B`` over int64 ``plus.times``; equals :func:`_masked_mxm_serial`.
+    """``C⟨M⟩ = A @ B`` over int64 or float64 ``plus.times``; equals
+    :func:`_masked_mxm_serial`.
 
     Only the rows of *a* the mask touches are multiplied (the fused ESC
     kernel's row rule), so the full product never exists.  The unsorted
@@ -630,6 +667,15 @@ def _native_masked_mxm(a: "CSRMatrix", b: "CSRMatrix", mask: "CSRMatrix") -> "CS
             (np.ones(mask.nnz, dtype=np.int64), mask.indices, mask.indptr), shape=out_shape
         )
     out = (sa @ sb).multiply(mask._ones_cache).tocsr()
+    if out.dtype.kind == "f":
+        # the multiply runs over the union of patterns, so an inf or NaN
+        # outside the mask comes back as NaN (x * 0) instead of vanishing;
+        # out holds no zeros yet, so zeroing those and eliminating is exact
+        nan = np.flatnonzero(np.isnan(out.data))
+        if nan.size:
+            rows = np.searchsorted(out.indptr, nan, side="right") - 1
+            out.data[nan[~_mask_keep(rows, out.indices[nan], mask, False, out_shape[1])]] = 0
+            out.eliminate_zeros()
     out.sort_indices()
     return CSRMatrix(out_shape, out.indptr, out.indices, out.data, _trusted=True)
 

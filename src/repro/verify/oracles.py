@@ -110,6 +110,20 @@ def _csr_identical(a: CSRMatrix, b: CSRMatrix) -> bool:
     )
 
 
+def _route_operands(a: CSRMatrix, semiring: Semiring) -> tuple[CSRMatrix, ...]:
+    """The operands a routed product is audited on: the corpus matrix, and
+    for ``plus.times`` also its row-normalised float64 copy (the traffic
+    analyst's transition matrix), so the native route is checked for both
+    dtypes it takes.
+    """
+    if semiring is not PLUS_TIMES:
+        return (a,)
+    totals = np.asarray(a.reduce_rows(), dtype=np.float64)
+    totals[totals == 0] = 1.0
+    scaled = a.data / np.repeat(totals, a.row_nnz())
+    return a, CSRMatrix(a.shape, a.indptr, a.indices, scaled, _trusted=True)
+
+
 # --------------------------------------------------------------------------- #
 # 1. serial vs blocked-parallel kernel equality
 # --------------------------------------------------------------------------- #
@@ -125,9 +139,10 @@ class KernelEqualityOracle:
     and once through its ``parallel_*`` entry point in
     :mod:`repro.assoc.blocked` with a deliberately tiny ``block_rows`` so
     every matrix splits into several blocks.  Results must be identical to the bit (values, structure, dtype).
-    The routed serial ``mxm`` (the native scipy route for the corpus's int64
-    ``plus.times``) must also equal the ESC product: ESC is the exact
-    reference that spot-checks the fast route.
+    The routed serial ``mxm`` (the native scipy route for ``plus.times``)
+    must also equal the ESC product, on the int64 corpus matrix and on its
+    row-normalised float64 copy: ESC is the exact reference that
+    spot-checks the fast route.
 
     The blocked evaluation runs on a serial executor by design: the *math*
     of the tiled decomposition is what differential testing probes here, and
@@ -153,11 +168,12 @@ class KernelEqualityOracle:
         rng = np.random.default_rng(spec.seed)
         x = rng.integers(0, 5, size=a.shape[1]).astype(np.int64)
 
+        for m in _route_operands(a, self.semiring):
+            with serial_region():
+                routed_mxm = m.mxm(m, self.semiring)
+            if not _csr_identical(routed_mxm, m._mxm_serial(m, self.semiring)):
+                return _failed(self.name, f"mxm routed != ESC ({self.semiring.name}, {m.dtype})")
         serial_mxm = a._mxm_serial(a, self.semiring)
-        with serial_region():
-            routed_mxm = a.mxm(a, self.semiring)
-        if not _csr_identical(routed_mxm, serial_mxm):
-            return _failed(self.name, f"mxm routed != ESC ({self.semiring.name})")
         blocked_mxm = parallel_mxm(a, a, self.semiring, cfg)
         if not _csr_identical(serial_mxm, blocked_mxm):
             return _failed(self.name, f"mxm serial != blocked ({self.semiring.name})")
@@ -219,8 +235,9 @@ class MaskedEqualityOracle:
     full result and zeroes the masked-out cells.  Covered: masked ``mxm``
     (plain and complement), the fused n-ary union, the masked intersection,
     ``masked_select``, masked ``mxv``, and the mask+accumulator assignment
-    rule.  The routed serial masked ``mxm`` (native for int64 ``plus.times``)
-    must equal the fused ESC kernel.  The structural mask is drawn
+    rule.  The routed serial masked ``mxm`` (native for ``plus.times``) must
+    equal the fused ESC kernel, on the int64 corpus matrix and on its
+    row-normalised float64 copy.  The structural mask is drawn
     deterministically from the spec seed, so the corpus replays identically
     everywhere.
 
@@ -262,11 +279,12 @@ class MaskedEqualityOracle:
         sr, add = self.semiring, self.monoid
 
         # masked mxm: routed ≡ fused serial ≡ fused blocked ≡ lazy surface ≡ dense ref
+        for m in _route_operands(a, sr):
+            with serial_region():
+                routed = _dispatch_masked_mxm(m, m, sr, mask)
+            if not _csr_identical(routed, _masked_mxm_serial(m, m, sr, mask)):
+                return _failed(self.name, f"masked mxm routed != ESC ({sr.name}, {m.dtype})")
         fused = _masked_mxm_serial(a, a, sr, mask)
-        with serial_region():
-            routed = _dispatch_masked_mxm(a, a, sr, mask)
-        if not _csr_identical(routed, fused):
-            return _failed(self.name, f"masked mxm routed != ESC ({sr.name})")
         eager = a._mxm_serial(a, sr)
         for complement, allowed in ((False, allow), (True, ~allow)):
             ref = self._filtered_ref(eager, allowed)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.streaming import merge_windows
+from repro.assoc import array as array_module
 from repro.assoc.array import AssociativeArray, _as_labels
 from repro.assoc.semiring import MIN_PLUS
 from repro.assoc.sparse import CSRMatrix
@@ -114,6 +115,25 @@ class TestReindexBoundary:
         with pytest.raises(AssocArrayError, match="empty strings"):
             a.reindex(["a"], ["", "x"])
 
+    @given(triples(), st.sets(st.sampled_from(["A0", "SRV0", "WS15", "ZZ"])))
+    @settings(max_examples=100, deadline=None)
+    def test_reindex_equals_a_rebuild_from_triples(self, entries, extra):
+        # reindexing relabels the CSR arrays without a sort; the result must
+        # be the canonical matrix a rebuild from relabelled triples gives
+        a = build(entries)
+        rows = tuple(sorted(set(a.row_labels) | extra))
+        cols = tuple(sorted(set(a.col_labels) | extra | {"a"}))
+        got = a.reindex(rows, cols)
+        r, c, v = a.csr.triples()
+        ref = CSRMatrix.from_triples(
+            np.searchsorted(rows, np.asarray(a.row_labels))[r],
+            np.searchsorted(cols, np.asarray(a.col_labels))[c],
+            v,
+            (len(rows), len(cols)),
+        )
+        assert got.csr == ref and got.csr.dtype == ref.dtype
+        CSRMatrix(ref.shape, got.csr.indptr, got.csr.indices, got.csr.data)  # validates
+
     def test_superset_reindex_keeps_entries(self):
         a = AssociativeArray.from_triples(["b"], ["y"], [4])
         r = a.reindex(["a", "b", "c"], ["x", "y"])
@@ -161,6 +181,74 @@ class TestTrustedDerivations:
         assert merged.row_labels == ("a", "b", "c")
         assert merged.col_labels == ("x", "y", "z")
         assert merged.to_dict() == {("a", "x"): 2, ("b", "y"): 1, ("c", "z"): 3}
+
+
+class TestAxisMemo:
+    """Tuples of strings are validated once and their position maps built
+    once; every other input keeps the uncached path, and errors are never
+    memoised."""
+
+    @pytest.mark.parametrize("order", [(1, 1.0, True), (True, 1.0, 1), (1.0, True, 1)])
+    def test_hash_equal_non_str_tuples_each_convert(self, order):
+        # (1,) == (1.0,) == (True,) and all three hash equal
+        for _ in range(2):
+            for key in order:
+                assert _as_labels((key,)) == (str(key),)
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [(("b", "a"), "sorted and duplicate-free"), (("", "a"), "empty strings")],
+    )
+    def test_an_invalid_axis_raises_on_every_call(self, keys, message):
+        for _ in range(3):
+            with pytest.raises(AssocArrayError, match=message):
+                _as_labels(keys)
+
+    def test_non_superset_reindex_raises_after_a_cached_map(self):
+        target = ("a", "b", "c")
+        inside = AssociativeArray.from_triples(["a"], ["a"], [1])
+        outside = AssociativeArray.from_triples(["z"], ["a"], [1])
+        for _ in range(2):
+            assert inside.reindex(target, target).nnz == 1
+            with pytest.raises(AssocArrayError, match="reindex axes must be supersets"):
+                outside.reindex(target, target)
+
+    def test_str_subclass_labels_come_back_as_str(self):
+        labels = _as_labels((np.str_("a"), np.str_("b")))
+        assert labels == ("a", "b") and all(type(k) is str for k in labels)
+        assert all(type(k) is str for k in _as_labels(("a", "b")))
+
+    def test_the_memos_stay_small(self):
+        for memo in (array_module._str_axis, array_module._positions):
+            assert 0 < memo.cache_info().maxsize <= 16
+
+    @given(triples(), triples(KEYS[1:] + ["ZZ1"]))
+    @settings(max_examples=100, deadline=None)
+    def test_cached_and_uncached_paths_build_equal_arrays(self, e1, e2):
+        a, b = build(e1), build(e2)
+        rows = sorted(set(a.row_labels) | set(b.row_labels) | {"AAA"})
+        cols = sorted(set(a.col_labels) | set(b.col_labels))
+
+        def derived():
+            return [
+                a.reindex(tuple(rows), tuple(cols)),
+                AssociativeArray(tuple(rows), tuple(cols), a.reindex(rows, cols).csr),
+                a.ewise_add(b),
+                a.mxm(b),
+                merge_windows([a, b, a]),
+            ]
+
+        array_module._str_axis.cache_clear()
+        array_module._positions.cache_clear()
+        first = derived()  # fills the memos
+        again = derived()  # served from them
+        uncached = [
+            a.reindex(rows, cols),  # lists take the uncached path
+            AssociativeArray(rows, cols, a.reindex(rows, cols).csr),
+        ]
+        assert first == again
+        assert first[:2] == uncached
+        assert all(_is_valid(x) for x in again)
 
 
 class TestKeyLookup:

@@ -1,24 +1,36 @@
-"""The native int64 ``plus.times`` route: scipy's SpGEMM must equal ESC bit for bit.
+"""The native ``plus.times`` route: scipy's SpGEMM must equal ESC bit for bit.
 
-Serial int64 ``plus.times`` products (``mxm`` and the fused masked ``mxm``)
-run through scipy when it imports; ESC stays the exact reference.  These
-properties pin the two routes together on the cases where they could part:
-rectangular shapes, empty rows and columns, explicitly stored zeros, values
-that wrap at the int64 edge (including products and sums that wrap to exactly
-0, which both routes must drop), and empty, full and single-row masks.  The
-``assoc.route.*`` counters show which route ran.
+Serial int64 and float64 ``plus.times`` products (``mxm`` and the fused
+masked ``mxm``) run through scipy when it imports; ESC stays the exact
+reference.  These properties pin the routes together on the cases where they
+could part: rectangular shapes, empty rows and columns, explicitly stored
+zeros, int64 values that wrap at the edge (including products and sums that
+wrap to exactly 0, which both routes must drop), float64 signed zeros,
+infinities, NaN, cancellation and 1e±300 magnitudes, and empty, full and
+single-row masks.  Float64 sums add
+each entry's terms left to right in ascending ``k`` on every route, so ESC,
+the row-blocked engine and the native route agree to the bit; NaN payloads
+are not part of that contract, NaN positions are.  The ``assoc.route.*``
+counters show which route ran.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.assoc import sparse
+from repro.assoc.blocked import parallel_coalesce, parallel_masked_mxm, parallel_mxm
 from repro.assoc.expr import lazy
-from repro.assoc.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES
-from repro.assoc.sparse import CSRMatrix, _masked_mxm_serial
+from repro.assoc.semiring import MIN_PLUS, PLUS_MONOID, PLUS_PAIR, PLUS_TIMES
+from repro.assoc.sparse import (
+    CSRMatrix,
+    _masked_mxm_serial,
+    _native_masked_mxm,
+    _native_mxm,
+)
 from repro.obs import metrics
-from repro.runtime import backends
+from repro.runtime import RuntimeConfig, backends
 
 needs_scipy = pytest.mark.skipif(not backends.has_scipy(), reason="scipy not installed")
 
@@ -28,7 +40,21 @@ EDGE = 2**63 - 1
 VALUES = st.sampled_from(
     [0, 1, 2, 3, -1, -7, 4, 2**31, 2**32, -(2**32), 2**62, -(2**62), EDGE, -EDGE - 1]
 )
+#: Float64 values where a summation order shows: signed zeros, infinities,
+#: NaN, exact cancellation (x and -x), and magnitudes whose products
+#: overflow to inf (1e300 * 1e300) or underflow to 0 (1e-300 * 1e-300).
+FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 3.0, np.inf, -np.inf, np.nan,
+         1e300, -1e300, 1e-300, -1e-300, 2.0**53, 1.0 + 2.0**-52]
+    ),
+    st.floats(min_value=-1e20, max_value=1e20, allow_nan=False),
+)
 DIMS = st.integers(min_value=1, max_value=7)
+#: Inner dimensions long enough for runs of many terms, where any sum order
+#: other than left to right (numpy's ``add.reduceat`` among them) shows.
+INNER = st.integers(min_value=1, max_value=24)
+BLOCKED = RuntimeConfig(workers=1, backend="serial", block_rows=2)
 
 
 def identical(x: CSRMatrix, y: CSRMatrix) -> bool:
@@ -38,6 +64,22 @@ def identical(x: CSRMatrix, y: CSRMatrix) -> bool:
         and np.array_equal(x.indptr, y.indptr)
         and np.array_equal(x.indices, y.indices)
         and np.array_equal(x.data, y.data)
+    )
+
+
+def same_bits(x: CSRMatrix, y: CSRMatrix) -> bool:
+    """Float64 bit-identity up to NaN payloads: same pattern, same NaN
+    positions, and the same bits everywhere else (so -0.0 != 0.0)."""
+    if not (
+        x.shape == y.shape
+        and x.dtype == y.dtype == np.float64
+        and np.array_equal(x.indptr, y.indptr)
+        and np.array_equal(x.indices, y.indices)
+    ):
+        return False
+    nan = np.isnan(x.data)
+    return np.array_equal(nan, np.isnan(y.data)) and np.array_equal(
+        x.data[~nan].view(np.int64), y.data[~nan].view(np.int64)
     )
 
 
@@ -60,9 +102,20 @@ def int64_csr(draw, n_rows: int, n_cols: int) -> CSRMatrix:
 
 
 @st.composite
-def operands(draw) -> tuple[CSRMatrix, CSRMatrix]:
-    m, k, n = draw(DIMS), draw(DIMS), draw(DIMS)
-    return draw(int64_csr(m, k)), draw(int64_csr(k, n))
+def float64_csr(draw, n_rows: int, n_cols: int) -> CSRMatrix:
+    """A float64 CSR about half full, whose stored values may be ±0, ±inf,
+    NaN or 1e±300: dense enough that product terms form long runs."""
+    size = n_rows * n_cols
+    present = np.asarray(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    vals = draw(st.lists(FLOATS, min_size=int(present.sum()), max_size=int(present.sum())))
+    rows, cols = np.divmod(np.flatnonzero(present), n_cols)
+    return CSRMatrix.from_triples(rows, cols, np.array(vals, dtype=np.float64), (n_rows, n_cols))
+
+
+@st.composite
+def operands(draw, csr=int64_csr, inner=DIMS) -> tuple[CSRMatrix, CSRMatrix]:
+    m, k, n = draw(DIMS), draw(inner), draw(DIMS)
+    return draw(csr(m, k)), draw(csr(k, n))
 
 
 @st.composite
@@ -80,8 +133,10 @@ def masks(draw, n_rows: int, n_cols: int) -> CSRMatrix:
 
 
 @st.composite
-def masked_operands(draw) -> tuple[tuple[CSRMatrix, CSRMatrix], CSRMatrix]:
-    a, b = draw(operands())
+def masked_operands(
+    draw, csr=int64_csr, inner=DIMS
+) -> tuple[tuple[CSRMatrix, CSRMatrix], CSRMatrix]:
+    a, b = draw(operands(csr, inner))
     return (a, b), draw(masks(a.shape[0], b.shape[1]))
 
 
@@ -167,25 +222,117 @@ class TestNativeEqualsESC:
             assert got.data.tolist() == [low]
 
 
+@needs_scipy
+class TestFloatRoutesAgree:
+    """Routed (native), ESC and row-blocked float64 products give the same bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands(float64_csr, INNER))
+    def test_mxm(self, ab):
+        a, b = ab
+        with np.errstate(over="ignore", invalid="ignore"):
+            esc = a._mxm_serial(b, PLUS_TIMES)
+            assert same_bits(a.mxm(b, PLUS_TIMES), esc)
+            assert same_bits(parallel_mxm(a, b, PLUS_TIMES, BLOCKED), esc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(masked_operands(float64_csr, INNER))
+    def test_masked_mxm(self, case):
+        (a, b), mask = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            esc = _masked_mxm_serial(a, b, PLUS_TIMES, mask)
+            assert same_bits(lazy(a).mxm(b, PLUS_TIMES).new(mask=mask), esc)
+            assert same_bits(parallel_masked_mxm(a, b, PLUS_TIMES, mask, BLOCKED), esc)
+
+    def test_inf_outside_the_mask_does_not_leak(self):
+        # 0 * inf is NaN, but it lands outside the mask and must vanish
+        a = CSRMatrix.from_triples([0], [0], np.array([0.0]), (1, 1))
+        b = CSRMatrix.from_dense(np.array([[np.inf, 2.0]]))
+        mask = CSRMatrix.from_dense(np.array([[False, True]]))
+        with np.errstate(invalid="ignore"):
+            esc = _masked_mxm_serial(a, b, PLUS_TIMES, mask)
+            assert same_bits(_native_masked_mxm(a, b, mask), esc)
+        assert esc.nnz == 0
+
+    def test_terms_add_left_to_right_in_ascending_k(self):
+        # (1e16 + 1) + 1 rounds to 1e16 twice; 1e16 + (1 + 1) would not
+        a = CSRMatrix.from_dense(np.array([[1e16, 1.0, 1.0]]))
+        b = CSRMatrix.from_dense(np.ones((3, 1)))
+        for got in (a._mxm_serial(b, PLUS_TIMES), _native_mxm(a, b)):
+            assert got.data.tolist() == [1e16]
+
+    def test_zero_sums_are_dropped_and_nan_kept(self):
+        a = CSRMatrix.from_triples(
+            [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1],
+            np.array([1.0, -1.0, -0.0, -0.0, np.inf, -np.inf]), (3, 2),
+        )
+        b = CSRMatrix.from_dense(np.ones((2, 1)))
+        esc = a._mxm_serial(b, PLUS_TIMES)
+        assert same_bits(_native_mxm(a, b), esc)
+        assert esc.indptr.tolist() == [0, 0, 0, 1] and np.isnan(esc.data[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), FLOATS), min_size=1, max_size=40)
+    )
+    @example([(1, 2, 1e16), (1, 2, 1.0), (0, 0, 0.5), (1, 2, 1.0)])  # reduceat: 1e16 + 2
+    def test_coalesce_sums_each_run_like_a_python_loop(self, triples):
+        rows, cols, vals = (np.array(x) for x in zip(*triples))
+        vals = vals.astype(np.float64)
+        expected = {}
+        for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            expected[r, c] = expected[r, c] + v if (r, c) in expected else v
+        ref = np.array([expected[k] for k in sorted(expected)])
+        got = sparse.coalesce(rows, cols, vals, (4, 3))[2]
+        blocked = parallel_coalesce(rows, cols, vals, (4, 3), PLUS_MONOID, BLOCKED)[2]
+        for out in (got, blocked):
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(out), nan)
+            assert np.array_equal(out[~nan].view(np.int64), ref[~nan].view(np.int64))
+
+    def test_a_run_of_negative_zeros_keeps_its_sign(self):
+        # a duplicate-free coordinate keeps its -0.0, and a run's sum never
+        # depends on whether other coordinates had duplicates
+        rows = np.array([0, 0, 1, 2, 2])
+        cols = np.zeros(5, dtype=np.int64)
+        vals = np.array([-0.0, -0.0, -0.0, -0.0, 0.0])
+        _, _, out = sparse.coalesce(rows, cols, vals, (3, 1))
+        assert np.signbit(out).tolist() == [True, True, False]
+        _, _, alone = sparse.coalesce(rows[2:3], cols[2:3], vals[2:3], (3, 1))
+        assert np.signbit(alone).tolist() == [True]
+
+
 class TestRouteSelection:
     A = CSRMatrix.from_dense(np.array([[1, 2, 0], [0, 3, 4], [5, 0, 6]], dtype=np.int64))
 
-    @pytest.mark.parametrize(
-        "a, semiring",
-        [
-            (CSRMatrix.from_dense(A.to_dense(0).astype(np.float64)), PLUS_TIMES),
-            (A, MIN_PLUS),
-            (A, PLUS_PAIR),
-        ],
-        ids=["float64", "min.plus", "plus.pair"],
-    )
-    def test_other_products_stay_on_esc(self, a, semiring):
+    @needs_scipy
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_plus_times_routes_natively(self, dtype):
+        a = CSRMatrix.from_dense(self.A.to_dense(0).astype(dtype))
         mask = CSRMatrix.from_dense(np.eye(3, dtype=bool))
         native0, esc0 = route_counts()
-        assert identical(a.mxm(a, semiring), a._mxm_serial(a, semiring))
+        assert identical(a.mxm(a, PLUS_TIMES), a._mxm_serial(a, PLUS_TIMES))
         assert identical(
-            lazy(a).mxm(a, semiring).new(mask=mask),
-            _masked_mxm_serial(a, a, semiring, mask),
+            lazy(a).mxm(a, PLUS_TIMES).new(mask=mask), _masked_mxm_serial(a, a, PLUS_TIMES, mask)
+        )
+        assert route_counts() == (native0 + 2, esc0)
+
+    @pytest.mark.parametrize(
+        "a, b, semiring",
+        [
+            (A, A, MIN_PLUS),
+            (A, A, PLUS_PAIR),
+            (A, CSRMatrix.from_dense(A.to_dense(0).astype(np.float64)), PLUS_TIMES),
+        ],
+        ids=["min.plus", "plus.pair", "int64xfloat64"],
+    )
+    def test_other_products_stay_on_esc(self, a, b, semiring):
+        mask = CSRMatrix.from_dense(np.eye(3, dtype=bool))
+        native0, esc0 = route_counts()
+        assert identical(a.mxm(b, semiring), a._mxm_serial(b, semiring))
+        assert identical(
+            lazy(a).mxm(b, semiring).new(mask=mask),
+            _masked_mxm_serial(a, b, semiring, mask),
         )
         assert route_counts() == (native0, esc0 + 2)
 

@@ -63,38 +63,42 @@ class TestKernelEqualityOracle:
 
 @pytest.mark.skipif(not backends.has_scipy(), reason="scipy not installed")
 class TestNativeRouteSpotCheck:
-    """ESC spot-checks the native int64 route: a planted off-by-one there
-    must fail both product oracles, naming the routed product."""
+    """ESC spot-checks the native route for int64 and float64: a planted
+    off-by-one there must fail both product oracles, naming the routed
+    product and the dtype it broke."""
 
     SPEC = ScenarioSpec(base="clique", n=10, seed=3)
 
-    @pytest.fixture()
-    def off_by_one(self, monkeypatch):
+    @staticmethod
+    def plant(monkeypatch, dtype):
         def planted(kernel):
             def wrong(*args):
                 c = kernel(*args)
-                return sparse.CSRMatrix(c.shape, c.indptr, c.indices, c.data + 1, _trusted=True)
+                data = c.data + 1 if c.dtype == dtype else c.data
+                return sparse.CSRMatrix(c.shape, c.indptr, c.indices, data, _trusted=True)
 
             return wrong
 
         monkeypatch.setattr(planner, "_native_mxm", planted(planner._native_mxm))
-        monkeypatch.setattr(
-            planner, "_native_masked_mxm", planted(planner._native_masked_mxm)
-        )
+        monkeypatch.setattr(planner, "_native_masked_mxm", planted(planner._native_masked_mxm))
 
     def test_oracles_pass_on_the_native_route(self):
         assert KernelEqualityOracle().check(self.SPEC).passed
         assert MaskedEqualityOracle().check(self.SPEC).passed
 
-    def test_kernel_equality_catches_native_off_by_one(self, off_by_one):
+    @pytest.mark.parametrize("dtype", ["int64", "float64"])
+    def test_kernel_equality_catches_native_off_by_one(self, monkeypatch, dtype):
+        self.plant(monkeypatch, dtype)
         verdict = KernelEqualityOracle().check(self.SPEC)
         assert verdict.failed
-        assert "mxm routed != ESC" in verdict.detail
+        assert verdict.detail == f"mxm routed != ESC (plus.times, {dtype})"
 
-    def test_masked_equality_catches_native_off_by_one(self, off_by_one):
+    @pytest.mark.parametrize("dtype", ["int64", "float64"])
+    def test_masked_equality_catches_native_off_by_one(self, monkeypatch, dtype):
+        self.plant(monkeypatch, dtype)
         verdict = MaskedEqualityOracle().check(self.SPEC)
         assert verdict.failed
-        assert "masked mxm routed != ESC" in verdict.detail
+        assert verdict.detail == f"masked mxm routed != ESC (plus.times, {dtype})"
 
 
 class TestRoundTripOracle:
