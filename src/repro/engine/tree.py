@@ -23,7 +23,9 @@ class SceneTree:
 
     def __init__(self, root: Node | None = None) -> None:
         self._root: Node | None = None
-        self._groups: dict[str, list[Node]] = {}
+        #: group -> its members in tree-entry order (a dict used as an
+        #: insertion-ordered set, so joining and leaving cost O(1))
+        self._groups: dict[str, dict[Node, None]] = {}
         self.frame = 0
         self.paused = False
         if root is not None:
@@ -56,19 +58,21 @@ class SceneTree:
     # ------------------------------------------------------------------ #
 
     def _register_node(self, node: Node) -> None:
+        """Add *node* to each of its groups; a member keeps its place."""
         for group in node._groups:
-            members = self._groups.setdefault(group, [])
-            if node not in members:
-                members.append(node)
+            members = self._groups.get(group)
+            if members is None:
+                members = self._groups[group] = {}
+            members[node] = None
 
     def _unregister_node(self, node: Node) -> None:
-        for members in self._groups.values():
-            if node in members:
-                members.remove(node)
+        for group in node._groups:
+            self._leave_group(node, group)
 
-    def _refresh_groups(self, node: Node) -> None:
-        self._unregister_node(node)
-        self._register_node(node)
+    def _leave_group(self, node: Node, group: str) -> None:
+        members = self._groups.get(group)
+        if members is not None:
+            members.pop(node, None)
 
     def get_nodes_in_group(self, group: str) -> list[Node]:
         """Members of a group, in tree-entry order."""

@@ -135,15 +135,13 @@ class TrafficWarehouse:
 
     def render_screen(self, *, ansi: bool = True, width: int = 100, height: int = 32) -> str:
         """The full game screen: header, view, and the question block."""
-        from repro.render.ascii2d import render_matrix_2d
-
         module = self.current
         lines = [
             f"═══ Traffic Warehouse ═══  module {self.session.index + 1}/"
             f"{len(self.session.modules)}: {module.name}  [{module.size}] by {module.author}",
         ]
         if self.level.camera.mode is ViewMode.TOP_DOWN_2D:
-            lines.append(render_matrix_2d(module.matrix, ansi=ansi))
+            lines.append(self.level.render_2d(ansi=ansi))
         else:
             buf = self.level.render_ascii(width=width, height=height)
             lines.append(buf.to_ansi() if ansi else buf.to_plain())

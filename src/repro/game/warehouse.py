@@ -12,7 +12,8 @@ controller script, which then runs at ``_ready`` exactly as in the game.
 boxes, toggling pallet colours, switching and rotating the view.  The level
 owns its render cache: the world-space voxel cloud and the frames drawn
 from it are computed once per scene revision, and the level's own mutators
-start a new revision.
+start a new revision.  The 2-D frame is drawn from the module's matrix
+alone, so the level draws it once per ``ansi`` flag.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.engine.tree import SceneTree
 from repro.errors import GameError
 from repro.gdscript.interpreter import GDScriptClass
 from repro.modules.module import LearningModule
+from repro.render import ascii2d
 from repro.render.camera import OrthoCamera, ViewMode
 from repro.render.raster import CharBuffer
 from repro.render.scene import SceneCache, render_scene_ascii, render_scene_pixels
@@ -123,10 +125,13 @@ def build_level(module: LearningModule) -> Node3D:
 class WarehouseLevel:
     """A running level: scene + camera + game actions for one module.
 
-    Frames come from a per-revision :class:`~repro.render.scene.SceneCache`.
-    :meth:`place_packets` and :meth:`toggle_pallet_colors` start a new
-    revision themselves; code that edits :attr:`root` directly must call
-    :meth:`invalidate` afterwards.
+    3-D frames come from a per-revision
+    :class:`~repro.render.scene.SceneCache`.  :meth:`place_packets` and
+    :meth:`toggle_pallet_colors` start a new revision themselves; code that
+    edits :attr:`root` directly must call :meth:`invalidate` afterwards.
+    The 2-D frame (:meth:`render_2d`) shows the module's matrix, not the
+    scene, and a :class:`~repro.core.TrafficMatrix` never changes, so it is
+    drawn once per ``ansi`` flag and never invalidated.
     """
 
     def __init__(self, module: LearningModule, *, tree: SceneTree | None = None) -> None:
@@ -140,6 +145,7 @@ class WarehouseLevel:
         self.camera = OrthoCamera(mode=ViewMode.TOP_DOWN_2D)
         self._placed = 0
         self._render_cache = SceneCache()
+        self._frames_2d: dict[bool, str] = {}
 
     def invalidate(self) -> None:
         """Start a new scene revision: the next frame re-reads :attr:`root`.
@@ -237,6 +243,15 @@ class WarehouseLevel:
     def rotate_right(self) -> int:
         """E."""
         return self.camera.rotate_right()
+
+    def render_2d(self, *, ansi: bool = True) -> str:
+        """The module's matrix as the boxed 2-D view, drawn once per *ansi*."""
+        frame = self._frames_2d.get(ansi)
+        if frame is None:
+            frame = self._frames_2d[ansi] = ascii2d.render_matrix_2d(
+                self.module.matrix, ansi=ansi
+            )
+        return frame
 
     def render_ascii(self, *, width: int = 100, height: int = 36) -> CharBuffer:
         """Current view as a character frame (3-D scene raster)."""

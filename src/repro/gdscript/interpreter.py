@@ -22,7 +22,7 @@ import math
 from typing import Any, Callable, Optional
 
 from repro.engine.node import Node
-from repro.errors import GDScriptRuntimeError
+from repro.errors import EngineError, GDScriptRuntimeError
 from repro.gdscript import ast
 from repro.gdscript.builtins import make_builtins
 from repro.gdscript.parser import parse
@@ -466,7 +466,7 @@ class Interpreter:
             )
         try:
             setattr(obj, name, value)
-        except AttributeError as exc:
+        except (AttributeError, EngineError) as exc:
             raise GDScriptRuntimeError(f"cannot assign {name!r}: {exc}", line=line) from None
 
     @staticmethod

@@ -25,6 +25,15 @@ CELL_RGB: dict[int, tuple[int, int, int]] = {
 
 _TEXT_RGB = (240, 240, 240)
 
+#: The escape that opens a cell, per colour code: its background, then the
+#: text colour.
+_CELL_OPEN: dict[int, str] = {
+    code: bg_rgb(*rgb) + fg_rgb(*_TEXT_RGB) for code, rgb in CELL_RGB.items()
+}
+
+#: The plain-text colour suffix per code (``n`` = greeN, as ``g`` is grey).
+_SUFFIX: dict[int, str] = {0: "g", 1: "b", 2: "r", 3: "y", 4: "n"}
+
 
 def render_matrix_2d(
     matrix: TrafficMatrix,
@@ -42,17 +51,8 @@ def render_matrix_2d(
     n = matrix.n
     labels = matrix.labels
     row_w = max(len(lb) for lb in labels)
-    suffix = {0: "g", 1: "b", 2: "r", 3: "y", 4: "n"}  # n = greeN (g is grey)
-
-    def cell_text(i: int, j: int) -> str:
-        count = int(matrix.packets[i, j])
-        if count == 0 and not show_zeros:
-            body = ""
-        else:
-            body = str(count)
-        if not ansi:
-            body += suffix[int(matrix.colors[i, j])] if body else ""
-        return body.center(cell_width)
+    packets = matrix.packets.tolist()
+    colors = matrix.colors.tolist()
 
     top = " " * (row_w + 1) + "┌" + "┬".join(["─" * cell_width] * n) + "┐"
     sep = " " * (row_w + 1) + "├" + "┼".join(["─" * cell_width] * n) + "┤"
@@ -62,13 +62,15 @@ def render_matrix_2d(
     lines = [" " * (row_w + 2) + header_cells, top]
     for i in range(n):
         cells: list[str] = []
-        for j in range(n):
-            body = cell_text(i, j)
-            if ansi:
-                rgb = CELL_RGB[int(matrix.colors[i, j])]
-                cells.append(f"{bg_rgb(*rgb)}{fg_rgb(*_TEXT_RGB)}{body}{RESET}")
+        for count, code in zip(packets[i], colors[i]):
+            if count == 0 and not show_zeros:
+                body = ""
+            elif ansi:
+                body = str(count)
             else:
-                cells.append(body)
+                body = str(count) + _SUFFIX[code]
+            body = body.center(cell_width)
+            cells.append(f"{_CELL_OPEN[code]}{body}{RESET}" if ansi else body)
         lines.append(labels[i].rjust(row_w) + " │" + "│".join(cells) + "│")
         lines.append(sep if i < n - 1 else bottom)
     return "\n".join(lines)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.engine.node import MeshInstance3D, Node
+from repro.engine.node import MeshInstance3D, Node, Node3D
 from repro.engine.resources import StandardMaterial3D
 from repro.render.camera import OrthoCamera
 from repro.render.raster import CharBuffer, rasterize_points
@@ -95,32 +95,66 @@ def collect_voxels(root: Node) -> tuple[np.ndarray, np.ndarray]:
     A node hidden via ``visible = False`` hides its whole subtree, matching
     Godot.  Each instance contributes its asset's cached cloud; one pass at
     the end scales and translates all of them together.
+
+    The walk visits each node once.  It records every :class:`Node3D`'s
+    position in a table with the row of its nearest :class:`Node3D`
+    ancestor, then sums each mesh's world position bottom-up, one ancestor
+    level per vectorised step: the order and the bits of
+    ``Node3D.global_position``.  Row 0 is ``-0.0`` and its own ancestor, so
+    a chain that has ended adds ``-0.0``, which changes no float.
     """
     offsets: list[np.ndarray] = []
     rgbs: list[np.ndarray] = []
     scales: list[float] = []
-    bases: list[tuple[float, float, float]] = []
+    rows: list[int] = []  # each collected mesh's own row
+    xyz: list[tuple[float, float, float]] = [(-0.0, -0.0, -0.0)]
+    up: list[int] = [0]  # each row's nearest Node3D ancestor row
 
-    def walk(node: Node, hidden: bool) -> None:
-        node_hidden = hidden or (getattr(node, "visible", True) is False)
-        if isinstance(node, MeshInstance3D) and not node_hidden:
-            cloud = _cloud_for(node)
-            if cloud is not None:
-                base = node.global_position
-                offsets.append(cloud[0])
-                rgbs.append(cloud[1])
-                scales.append(node.scale)
-                bases.append((base.x, base.y, base.z))
+    def walk(node: Node, above: int) -> None:
+        if getattr(node, "visible", True) is False:
+            return
+        if isinstance(node, Node3D):
+            p = node.position
+            xyz.append((p.x, p.y, p.z))
+            up.append(above)
+            above = len(up) - 1
+            if isinstance(node, MeshInstance3D):
+                cloud = _cloud_for(node)
+                if cloud is not None:
+                    offsets.append(cloud[0])
+                    rgbs.append(cloud[1])
+                    scales.append(node.scale)
+                    rows.append(above)
         for child in node._children:
-            walk(child, node_hidden)
+            walk(child, above)
 
-    walk(root, False)
+    # positions above *root* count too, as in ``global_position``
+    chain: list[Node3D] = []
+    node = root._parent
+    while node is not None:
+        if isinstance(node, Node3D):
+            chain.append(node)
+        node = node._parent
+    for node3d in reversed(chain):
+        p = node3d.position
+        xyz.append((p.x, p.y, p.z))
+        up.append(len(up) - 1)
+    walk(root, len(up) - 1)
     if not offsets:
         return np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8)
+    table = np.array(xyz, dtype=np.float64)
+    parent = np.array(up, dtype=np.intp)
+    row = np.array(rows, dtype=np.intp)
+    bases = table[row]
+    row = parent[row]
+    while row.any():
+        bases += table[row]
+        row = parent[row]
     counts = [len(o) for o in offsets]
-    scale = np.repeat(np.array(scales, dtype=np.float64), counts)[:, None]
-    base = np.repeat(np.array(bases, dtype=np.float64), counts, axis=0)
-    return np.concatenate(offsets, axis=0) * scale + base, np.concatenate(rgbs, axis=0)
+    points = np.concatenate(offsets, axis=0)  # a fresh array: scaled and moved in place
+    points *= np.repeat(np.array(scales, dtype=np.float64), counts)[:, None]
+    points += np.repeat(bases, counts, axis=0)
+    return points, np.concatenate(rgbs, axis=0)
 
 
 class SceneCache:
