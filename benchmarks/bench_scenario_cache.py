@@ -9,7 +9,7 @@ Two claims of the scenario service, timed and gated:
   runners via ``REPRO_SKIP_SPEEDUP_GATE=1`` — bit-identity always gates.
 * **Delta vs full rebuild** — :func:`~repro.scenarios.apply_delta` with a
   cached base must reproduce the full from-scratch rebuild of the extended
-  spec bit for bit, recomputing only the packet-touched row blocks.
+  spec bit for bit, generating only the delta layer.
 
 Both tables land in ``benchmarks/artifacts/`` with the cache analytics that
 produced them, so the hit-rate accounting is part of the inspectable record.
@@ -149,18 +149,19 @@ def test_delta_rebuild_vs_full_and_bit_identity(benchmark, artifacts):
     rows = [[
         f"{DELTA_BASE_N}x{DELTA_BASE_N}",
         f"{result.stats.rows_recomputed}/{result.stats.rows}",
-        f"{result.stats.blocks_recomputed}/{result.stats.blocks_total}",
         f"{t_full * 1e3:.1f} ms",
         f"{t_delta * 1e3:.1f} ms",
         f"{t_full / max(t_delta, 1e-9):.1f}x",
     ]]
     body = format_table(
-        ["size", "rows redone", "blocks redone", "full rebuild", "delta", "speedup"],
+        ["size", "rows touched", "full rebuild", "delta", "speedup"],
         rows,
     ) + (
-        "\n\napply_delta reused the cached pre-noise base composition and"
-        "\nrecomputed only the packet-touched row blocks; the result matches"
-        "\nthe from-scratch rebuild of the extended spec bit for bit."
+        "\n\napply_delta reused the cached pre-noise base composition, built"
+        "\nonly the delta layer and summed it onto the base in one dense"
+        "\noverlay; 'rows touched' counts the rows the delta stores packets in."
+        "\nThe result matches the from-scratch rebuild of the extended spec"
+        "\nbit for bit."
     )
     write_artifact(
         artifacts / "scenario_delta.txt",

@@ -72,8 +72,8 @@ async def main() -> None:
         print(f"warm batch: {warm_ms:.0f} ms "
               f"({cold_ms / max(warm_ms, 1e-9):.1f}x) — bit-identical: {identical}\n")
 
-        # 4. extend one scenario incrementally: only the row blocks the new
-        #    overlay's packets touch are recomputed
+        # 4. extend one scenario incrementally: the cached base is reused and
+        #    only the new overlay layer is generated, then summed onto it
         base = ScenarioSpec(
             "ring",
             n=200,
@@ -85,8 +85,7 @@ async def main() -> None:
         stats = result.stats
         full = result.spec.build()
         print("delta rebuild: ring(200) + ddos + staging, then + infiltration")
-        print(f"  rows recomputed : {stats.rows_recomputed}/{stats.rows} "
-              f"(blocks {stats.blocks_recomputed}/{stats.blocks_total})")
+        print(f"  rows touched    : {stats.rows_recomputed}/{stats.rows}")
         print(f"  base cache hit  : {stats.base_cache_hit}")
         print(f"  == full rebuild : {result.matrix == full and result.matrix.meta == full.meta}\n")
 

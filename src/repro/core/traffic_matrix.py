@@ -351,30 +351,20 @@ class TrafficMatrix:
         if other._labels != self._labels:
             raise LabelError("cannot combine matrices with different axis labels")
 
-    @classmethod
-    def overlay_style(
-        cls, matrices: Sequence["TrafficMatrix"]
-    ) -> tuple[np.ndarray, bool]:
-        """``(colour grid, extended flag)`` for an overlay of *matrices*.
+    def __add__(self, other: "TrafficMatrix") -> "TrafficMatrix":
+        """Overlay two patterns: packet counts add, colours take the maximum.
 
         Colour priority red(2) > blue(1) > grey(0) means an adversarial
         annotation survives composition — exactly what the paper's "combine
         the stages together" exercise needs.  This is the single definition
-        of the rule; ``__add__`` and :func:`repro.graphs.compose.overlay`
-        both use it.
+        of the rule; :func:`repro.graphs.compose.overlay` sums through it.
         """
-        colors = np.maximum.reduce([np.asarray(m.colors) for m in matrices])
-        return colors, any(m.extended_colors for m in matrices)
-
-    def __add__(self, other: "TrafficMatrix") -> "TrafficMatrix":
-        """Overlay two patterns: packet counts add, colours take the maximum."""
         self._check_compatible(other)
-        colors, extended = TrafficMatrix.overlay_style([self, other])
         return TrafficMatrix(
             _non_negative(self._packets + other._packets),
             self._labels,
-            colors,
-            extended_colors=extended,
+            np.maximum(self._colors, other._colors),
+            extended_colors=self._extended or other._extended,
             _trusted=True,
         )
 

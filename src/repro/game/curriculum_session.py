@@ -9,6 +9,7 @@ freshly shuffled answers).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -130,7 +131,13 @@ class CurriculumSession:
             self._attempts.append(UnitResult(unit.title, 0, 0, True))
             return None  # type: ignore[return-value]  # grouping unit, nothing to play
         attempt_number = sum(1 for a in self._attempts if a.unit_title == title)
-        unit_seed = None if self.seed is None else hash((self.seed, title, attempt_number)) % (2**31)
+        # zlib.crc32, not hash(): string hashing is salted per process, so the
+        # same seed would shuffle answers differently in every run.
+        unit_seed = (
+            None
+            if self.seed is None
+            else zlib.crc32(f"{self.seed}/{attempt_number}/{title}".encode()) % (2**31)
+        )
         self._active_unit = unit
         self._active_session = GameSession(list(unit.modules), seed=unit_seed)
         return self._active_session

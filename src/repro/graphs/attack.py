@@ -183,11 +183,8 @@ def full_attack(
     labels: Sequence[str] | None = None,
 ) -> TrafficMatrix:
     """All four stages overlaid — the "combined together" exercise the paper
-    suggests once students know the individual signatures.
-
-    Composition goes through :func:`repro.graphs.compose.overlay`, so very
-    large label sets benefit from the parallel sparse engine when
-    :func:`repro.runtime.configure` has enabled workers.
+    suggests once students know the individual signatures, summed by
+    :func:`repro.graphs.compose.overlay`.
     """
     from repro.graphs.compose import overlay
 

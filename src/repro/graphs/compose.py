@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.core.traffic_matrix import TrafficMatrix, _non_negative
+from repro.core.traffic_matrix import TrafficMatrix
 from repro.errors import ShapeError
 from repro.graphs.noise import with_noise
-from repro.runtime.config import blocked_config
 
 __all__ = ["overlay", "sequence", "challenge"]
 
@@ -23,17 +22,10 @@ def overlay(matrices: Iterable[TrafficMatrix]) -> TrafficMatrix:
 
     Packet counts add; colours keep the highest-priority code per cell
     (red > blue > grey), so adversarial annotation survives composition.
-
-    Classroom-sized matrices combine densely.  When the stack is **sparse**
-    and the runtime's gate (:func:`repro.runtime.config.blocked_config`)
-    sends the union of the later layers to parallel workers, the packet grids
-    are summed on the sparse engine through the expression layer: one
-    accumulator assignment (``total(accum=PLUS) << union_all(rest)``) whose
-    fused n-ary union runs a single row-blocked concatenate + coalesce
-    instead of a chain of pairwise unions.  The gate is asked about the work
-    of that union, as the union's own dispatcher asks, so the two agree.
-    Dense stacks always take the dense path: a CSR round trip loses to one
-    vectorized add when most cells are occupied.
+    The sum is dense, one vectorized add per layer: a
+    :class:`~repro.core.TrafficMatrix` is already a dense n×n grid, so a
+    sparse detour would pay an O(n²) conversion before doing any work.
+    Always returns a new matrix.
     """
     matrices = list(matrices)
     if not matrices:
@@ -41,30 +33,7 @@ def overlay(matrices: Iterable[TrafficMatrix]) -> TrafficMatrix:
             "overlay() received an empty collection; it needs at least one "
             "TrafficMatrix to combine"
         )
-    first = matrices[0]
-    rest_nnz = sum(m.nnz() for m in matrices[1:])
-    total_cells = first.n * first.n * len(matrices)
-    if (
-        len(matrices) > 1
-        and (first.nnz() + rest_nnz) * 8 <= total_cells  # sparse enough (< ~12% occupied)
-        and blocked_config(rest_nnz, first.n) is not None
-    ):
-        for m in matrices[1:]:
-            first._check_compatible(m)
-        from repro.assoc.expr import Mat, union_all
-        from repro.assoc.semiring import PLUS
-
-        total = Mat.from_csr(first.to_csr())
-        total(accum=PLUS) << union_all([m.to_csr() for m in matrices[1:]])
-        colors, extended = TrafficMatrix.overlay_style(matrices)
-        return TrafficMatrix(
-            _non_negative(total.to_dense(0)),
-            first.labels,
-            colors,
-            extended_colors=extended,
-            _trusted=True,
-        )
-    total = first.copy()
+    total = matrices[0].copy()
     for m in matrices[1:]:
         total = total + m
     return total

@@ -211,8 +211,7 @@ def full_ddos(
 ) -> TrafficMatrix:
     """All four components overlaid — the paper's suggested follow-on exercise.
 
-    Uses :func:`repro.graphs.compose.overlay`, which routes big overlays
-    through the runtime-parallel sparse engine when workers are configured.
+    Summed by :func:`repro.graphs.compose.overlay`.
     """
     from repro.graphs.compose import overlay
 

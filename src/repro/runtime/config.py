@@ -288,9 +288,8 @@ def blocked_config(work_items: int, n_rows: int) -> RuntimeConfig | None:
     """The active config if *work_items* over *n_rows* rows should run on the
     row-blocked engine (:mod:`repro.assoc.blocked`), else ``None``.
 
-    This is the one gate: the planner's kernel dispatchers,
-    :func:`repro.assoc.sparse.coalesce` and
-    :func:`repro.graphs.compose.overlay` all ask it.  A single row cannot be
+    This is the one gate: the planner's kernel dispatchers and
+    :func:`repro.assoc.sparse.coalesce` both ask it.  A single row cannot be
     split, so it stays serial whatever the config.
     """
     return parallel_config(work_items) if n_rows > 1 else None

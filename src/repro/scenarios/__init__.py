@@ -14,8 +14,8 @@ extensible subsystem:
   queue with backpressure, fixed worker concurrency, a shared
   :class:`ScenarioCache` keyed by :meth:`ScenarioSpec.cache_key`, cache
   warming, per-batch cancellation, and :func:`apply_delta` incremental
-  rebuilds that recompute only the row blocks a delta overlay touches —
-  bit-identical to a full rebuild.
+  rebuilds that generate only the delta overlays and sum them onto the
+  cached base — bit-identical to a full rebuild.
 
 Quickstart::
 

@@ -2,25 +2,20 @@
 
 ``apply_delta(base_spec, delta)`` answers "what does this scenario look like
 with these overlay layers added?" without rebuilding the base.  The combined
-matrix is assembled from the cached (or freshly built) *pre-noise* base
-composition plus the delta layers, touching only the row blocks where the
-delta's packets actually land, cut by the same row partition the blocked
-engine (:mod:`repro.assoc.blocked`) uses: per touched block, the base rows
-and delta rows merge through the expression layer's fused n-ary union
-(``blk(accum=PLUS) << union_all(parts)``), while untouched blocks carry
-their base packets over verbatim.  Colours merge
-globally — the overlay colour rule is a cell-wise maximum over dense ``int8``
-grids, far cheaper than the sparse packet union it would otherwise gate.
+matrix is the cached (or freshly built) *pre-noise* base composition
+overlaid with the delta layers — one dense :func:`repro.graphs.compose.overlay`
+sum, the same one a full build runs — so only the delta layers are generated.
 
 **Bit-identity.**  Overlay composition is a cell-wise integer sum with a
-per-cell colour maximum — both associative — so regrouping the sum by row
-block cannot change a single bit.  The noise stage is reapplied whole (its
-seed depends on the *combined* layer count, so the base's noise, had it any,
-would be the wrong stream): ``with_noise`` is a pure function of the pre-noise
-matrix and the seed, and the pre-noise matrices agree bit-for-bit, so the
-noisy results do too.  The contract ``apply_delta(...) == target.build()`` is
-enforced by hypothesis tests, the ``cache_delta`` oracle in
-:func:`repro.verify.default_oracles`, and the delta benchmark — not assumed.
+per-cell colour maximum — both associative — so summing the base's layers
+first and the delta's after cannot change a single bit.  The noise stage is
+reapplied whole (its seed depends on the *combined* layer count, so the
+base's noise, had it any, would be the wrong stream): ``with_noise`` is a
+pure function of the pre-noise matrix and the seed, and the pre-noise
+matrices agree bit-for-bit, so the noisy results do too.  The contract
+``apply_delta(...) == target.build()`` is enforced by hypothesis tests, the
+``cache_delta`` oracle in :func:`repro.verify.default_oracles`, and the delta
+benchmark — not assumed.
 """
 
 from __future__ import annotations
@@ -50,19 +45,22 @@ class DeltaStats:
     """How much work the incremental path actually did (and skipped)."""
 
     rows: int
+    #: Rows in which any delta layer stores packets.
     rows_recomputed: int
-    blocks_total: int
-    blocks_recomputed: int
     delta_nnz: int
-    base_cache_hit: bool
     #: Where the base matrix came from: ``"l1"`` (cache memory), ``"l2"``
     #: (durable store), ``"given"`` (caller-supplied), or ``"build"``.
     base_tier: str = "build"
 
     @property
     def rows_reused(self) -> int:
-        """Rows carried over from the cached base without recomputation."""
+        """Rows the delta layers leave exactly as the cached base has them."""
         return self.rows - self.rows_recomputed
+
+    @property
+    def base_cache_hit(self) -> bool:
+        """Whether the base composition came from the cache (either tier)."""
+        return self.base_tier in ("l1", "l2")
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,6 @@ def apply_delta(
     *,
     cache: "ScenarioCache | None" = None,
     base_matrix: "TrafficMatrix | None" = None,
-    block_rows: int | None = None,
     verify: bool = False,
 ) -> DeltaResult:
     """Rebuild ``base_spec + delta`` incrementally from the base composition.
@@ -143,18 +140,15 @@ def apply_delta(
         composition (``replace(base_spec, noise=None).build()``).  Passing
         the *noisy* build here would violate bit-identity — use ``verify=True``
         when unsure.
-    block_rows:
-        Row-block granularity for the touched/untouched split (default: the
-        runtime heuristic, same as the blocked kernels).
     verify:
         Also run the full from-scratch build and assert bit-identity
         (packets, colours, labels, provenance).  Meant for tests and
         benchmarks; the differential oracle does this continuously.
 
-    Returns a :class:`DeltaResult`; ``result.stats`` reports how many row
-    blocks were recomputed versus carried over.
+    Returns a :class:`DeltaResult`; ``result.stats`` reports how many rows
+    the delta layers touch and where the base came from.
     """
-    from repro.core.traffic_matrix import TrafficMatrix, _non_negative
+    from repro.graphs.compose import overlay
 
     overlays = _as_overlays(delta)
     target = extend_spec(base_spec, overlays)
@@ -167,75 +161,23 @@ def apply_delta(
         else:
             base_matrix = prenoise_spec.build()
             base_tier = "build"
-    base_hit = base_tier in ("l1", "l2")
 
     # Materialise only the delta layers, at the layer indices they occupy in
     # the combined spec — per-layer seeds are positional, so a delta layer
     # built standalone must use the same index the full rebuild would.
     n_base_layers = 1 + len(base_spec.overlays)
-    delta_mats: list[TrafficMatrix] = []
-    for k, overlay_spec in enumerate(overlays):
-        info = get_generator(overlay_spec.name)
-        delta_mats.append(
-            target._materialize(info, overlay_spec.params, n_base_layers + k)
+    delta_mats = [
+        target._materialize(
+            get_generator(overlay_spec.name), overlay_spec.params, n_base_layers + k
         )
+        for k, overlay_spec in enumerate(overlays)
+    ]
+    matrix = overlay([base_matrix, *delta_mats])
+
+    touched = np.zeros(matrix.n, dtype=bool)
     for mat in delta_mats:
-        base_matrix._check_compatible(mat)
+        touched |= mat.packets.any(axis=1)
 
-    n = base_matrix.n
-    delta_csrs = [mat.to_csr() for mat in delta_mats]
-    delta_nnz = int(sum(csr.nnz for csr in delta_csrs))
-
-    from repro.assoc.blocked import _row_partition, _slice_rows
-    from repro.assoc.expr import Mat, union_all
-    from repro.assoc.semiring import PLUS
-    from repro.runtime.config import get_config
-
-    cfg = get_config()
-    requested = block_rows if block_rows is not None else cfg.block_rows
-    starts = _row_partition(n, base_matrix.nnz() + delta_nnz, cfg.workers, requested)
-
-    # A row is touched when any delta layer stores *packets* in it.  Colours
-    # do not gate the split: the overlay colour rule is a cell-wise maximum
-    # over full dense int8 grids (``TrafficMatrix.overlay_style``), which is
-    # trivially cheap — it merges globally below, while the expensive sparse
-    # packet union runs only on touched blocks.
-    touched = np.zeros(n, dtype=bool)
-    for csr in delta_csrs:
-        touched |= np.diff(csr.indptr) > 0
-
-    packets = np.array(base_matrix.packets, dtype=np.int64)
-    colors = np.maximum.reduce(
-        [np.asarray(base_matrix.colors)]
-        + [np.asarray(mat.colors) for mat in delta_mats]
-    )
-    base_csr = base_matrix.to_csr()
-
-    blocks_total = max(starts.size - 1, 0)
-    blocks_recomputed = 0
-    rows_recomputed = 0
-    for b in range(blocks_total):
-        r0, r1 = int(starts[b]), int(starts[b + 1])
-        if r0 == r1 or not touched[r0:r1].any():
-            continue  # untouched block: base rows carry over verbatim
-        blocks_recomputed += 1
-        rows_recomputed += r1 - r0
-        block_mat = Mat.from_csr(_slice_rows(base_csr, r0, r1))
-        block_mat(accum=PLUS) << union_all(
-            [_slice_rows(csr, r0, r1) for csr in delta_csrs]
-        )
-        packets[r0:r1] = block_mat.to_dense(0)
-
-    extended = base_matrix.extended_colors or any(
-        mat.extended_colors for mat in delta_mats
-    )
-    matrix = TrafficMatrix(
-        _non_negative(packets),
-        base_matrix.labels,
-        colors,
-        extended_colors=extended,
-        _trusted=True,
-    )
     if target.noise is not None:
         from repro.graphs.noise import with_noise
 
@@ -261,12 +203,9 @@ def apply_delta(
             )
 
     stats = DeltaStats(
-        rows=n,
-        rows_recomputed=rows_recomputed,
-        blocks_total=blocks_total,
-        blocks_recomputed=blocks_recomputed,
-        delta_nnz=delta_nnz,
-        base_cache_hit=base_hit,
+        rows=matrix.n,
+        rows_recomputed=int(touched.sum()),
+        delta_nnz=sum(mat.nnz() for mat in delta_mats),
         base_tier=base_tier,
     )
     return DeltaResult(spec=target, matrix=matrix, stats=stats)

@@ -19,7 +19,7 @@ generate_batch` fan-out to a resident front end for scenario traffic:
   pre-populates, and ``stats()`` exposes the cache analytics alongside the
   service counters.
 * **Incremental rebuilds.**  ``apply_delta`` extends a cached scenario by
-  recomputing only the row blocks its delta overlays touch
+  generating only its delta overlays and summing them onto the cached base
   (:func:`repro.scenarios.delta.apply_delta`), bit-identical to the full
   rebuild.
 * **Progress + cancellation.**  Per-batch ``on_progress(done, total)`` hooks
@@ -551,8 +551,8 @@ class ScenarioService:
         """Extend a scenario incrementally (see :func:`repro.scenarios.delta.apply_delta`).
 
         The pre-noise base composition is fetched from this service's cache
-        (built and cached on first use), only the row blocks the delta
-        touches are recomputed, and the combined result is cached under the
+        (built and cached on first use), only the delta layers are generated
+        and summed onto it, and the combined result is cached under the
         extended spec's key — a later ``submit``/``generate`` of that spec is
         a pure hit.  Runs on a worker thread: the cache is in-process state,
         so the delta path never crosses a pickle boundary.

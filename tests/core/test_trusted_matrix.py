@@ -194,7 +194,7 @@ class TestTrustedDerivations:
     )
     def test_apply_delta_assembly(self, base, layer, n, seed):
         spec = ScenarioSpec(base=base, n=n, seed=seed)
-        result = apply_delta(spec, [OverlaySpec(name=layer)], block_rows=3)
+        result = apply_delta(spec, [OverlaySpec(name=layer)])
         full = result.spec.build()
         m = result.matrix
         ref = validated(m.packets, m.labels, m.colors, extended=m.extended_colors, meta=m.meta)

@@ -1,6 +1,13 @@
 """Curriculum play-through: gating, retries, autoplay."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import GameError
 from repro.game.curriculum_session import CurriculumSession
@@ -85,6 +92,39 @@ class TestRetries:
         assert not result.passed
         session2 = cs.start_unit("Basics")
         assert session2 is not session
+
+
+#: Plays a unit of the topology modules with seed 0 and prints each
+#: module's presented option order.
+PRESENTATIONS_SCRIPT = """
+from repro.game.curriculum_session import CurriculumSession
+from repro.modules.curriculum import Curriculum, Unit
+from repro.modules.library import family_modules
+
+unit = Unit("Topologies", modules=tuple(family_modules("topologies")))
+cs = CurriculumSession(Curriculum(Unit("Course", children=(unit,))), seed=0)
+session = cs.start_unit("Topologies")
+for _ in unit.modules:
+    print(session.presentation().options)
+    session.next_module()
+"""
+
+
+class TestSeedStability:
+    def test_same_presentations_under_any_hash_seed(self):
+        """The unit seed must not depend on the per-process string hash salt."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", PRESENTATIONS_SCRIPT],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].count("\n") == len(family_modules("topologies"))
+        assert outputs[0] == outputs[1]
 
 
 class TestAutoplay:

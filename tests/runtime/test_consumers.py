@@ -12,7 +12,6 @@ from repro.graphs.attack import full_attack
 from repro.graphs.compose import overlay
 from repro.graphs.ddos import full_ddos
 from repro.graphs.defense import defense, deterrence, full_posture, security
-from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture(autouse=True)
@@ -70,7 +69,7 @@ class TestTrafficMatrixBridge:
 class TestOverlayRuntimePath:
     @staticmethod
     def _sparse_stack():
-        """Large, sparse matrices: the profile where the CSR path engages."""
+        """Large, sparse matrices: the profile a sparse engine would tempt."""
         labels = [f"WS{i}" for i in range(1, 65)]
         stack = []
         for seed in range(3):
@@ -80,37 +79,31 @@ class TestOverlayRuntimePath:
             stack.append(TrafficMatrix(dense, labels))
         return stack
 
-    def test_sparse_overlay_matches_dense(self):
-        stack = self._sparse_stack()
-        dense = overlay(stack)
-        before = obs_metrics.counter("kernels.parallel_ewise_union").value
-        with runtime.configured(workers=3, backend="thread", min_parallel_work=1, block_rows=9):
-            sparse = overlay(stack)
-        assert sparse == dense
-        assert sparse.extended_colors == dense.extended_colors
-        # the union of the two later layers ran once, on the blocked engine
-        assert obs_metrics.counter("kernels.parallel_ewise_union").value == before + 1
+    def test_parallel_overlay_equals_serial(self, tpl10):
+        dense_stack = [
+            full_attack(labels=tpl10.matrix.labels),
+            full_ddos(labels=tpl10.matrix.labels),
+        ]
+        for stack in (self._sparse_stack(), dense_stack):
+            serial = overlay(stack)
+            with runtime.configured(
+                workers=3, backend="thread", min_parallel_work=1, block_rows=9
+            ):
+                parallel = overlay(stack)
+            assert parallel == serial
+            assert parallel.extended_colors == serial.extended_colors
 
-    def test_stays_dense_when_its_union_would_run_serially(self, monkeypatch):
-        """The whole stack clears the work floor but the union of the later
-        layers does not: overlay must not pay the CSR round trip for a union
-        that then runs serially."""
+    def test_never_converts_to_csr(self, monkeypatch):
+        """A TrafficMatrix is a dense grid: overlay sums it densely under any
+        runtime configuration, never paying the CSR round trip."""
         stack = self._sparse_stack()
-        dense = overlay(stack)
-        floor = sum(m.nnz() for m in stack)
-        monkeypatch.setattr(TrafficMatrix, "to_csr", lambda self: pytest.fail("took the sparse path"))
-        with runtime.configured(workers=3, backend="thread", min_parallel_work=floor):
-            assert overlay(stack) == dense
-
-    def test_dense_stack_stays_on_dense_path(self, tpl10):
-        """Mostly-occupied matrices must not pay the CSR round trip."""
-        stages = [full_attack(labels=tpl10.matrix.labels), full_ddos(labels=tpl10.matrix.labels)]
-        serial = overlay(stages)
+        expected = stack[0] + stack[1] + stack[2]
+        monkeypatch.setattr(TrafficMatrix, "to_csr", lambda self: pytest.fail("converted to CSR"))
+        assert overlay(stack) == expected
         with runtime.configured(workers=3, backend="thread", min_parallel_work=1):
-            parallel = overlay(stages)
-        assert parallel == serial
+            assert overlay(stack) == expected
 
-    def test_sparse_overlay_validates_labels(self):
+    def test_overlay_validates_labels(self):
         a = TrafficMatrix.zeros(3, ["WS1", "WS2", "WS3"])
         b = TrafficMatrix.zeros(3, ["WS1", "WS2", "SRV1"])
         with runtime.configured(workers=3, backend="thread", min_parallel_work=1):

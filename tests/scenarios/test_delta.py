@@ -126,30 +126,50 @@ class TestBitIdentity:
 
 
 class TestStats:
-    def test_row_block_accounting_with_unit_blocks(self):
-        """An infiltration delta stores packets in a handful of rows: with
-        block_rows=1 exactly those rows recompute; the rest carry over."""
+    def test_counts_the_rows_the_delta_layers_store_packets_in(self):
+        """An infiltration delta stores packets in a handful of rows: exactly
+        those count as recomputed; the rest carry over."""
         import numpy as np
 
         base = ScenarioSpec("ring", n=16, seed=1)
         delta = {"name": "infiltration"}
-        result = apply_delta(base, delta, block_rows=1)
+        result = apply_delta(base, delta)
         target = extend_spec(base, delta)
         layer = target.layer_matrices()[-1]
         packet_rows = int((np.asarray(layer.packets) != 0).any(axis=1).sum())
         assert 1 <= packet_rows < 16
-        assert result.stats.rows == result.stats.blocks_total == 16
+        assert result.stats.rows == 16
         assert result.stats.rows_recomputed == packet_rows
-        assert result.stats.blocks_recomputed == packet_rows
         assert result.stats.rows_reused == 16 - packet_rows
-        assert result.stats.delta_nnz > 0
+        assert result.stats.delta_nnz == layer.nnz() > 0
         assert_bit_identical(result, target)
+
+    def test_rows_touched_by_any_of_several_layers_count_once(self):
+        import numpy as np
+
+        base = ScenarioSpec("ring", n=16, seed=1)
+        delta = [{"name": "infiltration"}, {"name": "ddos_attack"}]
+        result = apply_delta(base, delta)
+        layers = extend_spec(base, delta).layer_matrices()[-2:]
+        touched = np.zeros(16, dtype=bool)
+        for layer in layers:
+            touched |= (np.asarray(layer.packets) != 0).any(axis=1)
+        assert result.stats.rows_recomputed == int(touched.sum())
+        assert result.stats.rows_reused == 16 - result.stats.rows_recomputed
+        assert result.stats.delta_nnz == sum(layer.nnz() for layer in layers)
 
     def test_full_grid_delta_recomputes_everything(self):
         base = ScenarioSpec("ring", n=12, seed=1)
-        result = apply_delta(base, {"name": "mesh"}, block_rows=4)
+        result = apply_delta(base, {"name": "mesh"})
         assert result.stats.rows_recomputed == 12
-        assert result.stats.blocks_recomputed == result.stats.blocks_total == 3
+        assert result.stats.rows_reused == 0
+
+    def test_base_cache_hit_follows_the_base_tier(self):
+        base = ScenarioSpec("ring", n=10, seed=2)
+        built = apply_delta(base, {"name": "clique"})
+        given = apply_delta(base, {"name": "clique"}, base_matrix=base.build())
+        assert (built.stats.base_tier, built.stats.base_cache_hit) == ("build", False)
+        assert (given.stats.base_tier, given.stats.base_cache_hit) == ("given", False)
 
 
 class TestCacheInterplay:

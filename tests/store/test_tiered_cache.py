@@ -167,7 +167,7 @@ class TestIntegration:
         cache.fetch(base)
         delta = OverlaySpec("self_loops", {})
         result = apply_delta(base, delta, cache=cache)
-        assert result.stats.base_tier == "l1"
+        assert result.stats.base_tier == "l1" and result.stats.base_cache_hit
         cache.clear()
         result = apply_delta(base, delta, cache=cache)
-        assert result.stats.base_tier == "l2"
+        assert result.stats.base_tier == "l2" and result.stats.base_cache_hit
