@@ -13,6 +13,10 @@ a configuration change, not a rewrite::
     with runtime.configured(workers=1):             # scoped opt-out
         C_serial = A.mxm(B, MIN_PLUS)
 
+Work runs on a :class:`SerialExecutor` or on a :class:`PoolExecutor` (a
+``thread`` or ``process`` pool, cached per ``(backend, workers)``); every
+task takes the same path through both, traced or not.
+
 Serial and parallel paths produce **bit-identical** results: row-blocked
 execution preserves the exact per-row term order the serial ESC kernel uses,
 so even non-associative float rounding matches.
@@ -39,14 +43,12 @@ from repro.runtime.config import (
     configured,
     get_config,
     in_serial_region,
-    parallel_config,
     reset,
     serial_region,
 )
 from repro.runtime.executor import (
-    ProcessExecutor,
+    PoolExecutor,
     SerialExecutor,
-    ThreadExecutor,
     async_submit,
     choose_block_rows,
     get_executor,
@@ -74,7 +76,6 @@ __all__ = [
     "configured",
     "get_config",
     "reset",
-    "parallel_config",
     "serial_region",
     "in_serial_region",
     "EnvironmentInfo",
@@ -83,8 +84,7 @@ __all__ = [
     "has_scipy",
     "recommended_workers",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
+    "PoolExecutor",
     "get_executor",
     "invalidate_stale_pools",
     "shutdown_executors",

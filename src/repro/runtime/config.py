@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import RuntimeConfigError
 from repro.obs import trace as _trace
@@ -33,7 +33,6 @@ __all__ = [
     "configured",
     "get_config",
     "reset",
-    "parallel_config",
     "blocked_config",
     "serial_region",
     "in_serial_region",
@@ -117,10 +116,6 @@ class RuntimeConfig:
         """Whether this config can ever run kernels in parallel."""
         return self.workers > 1 and self.resolved_backend() != "serial"
 
-    def should_parallelize(self, work_items: int) -> bool:
-        """Parallel-worthiness of an operation with *work_items* units of work."""
-        return self.parallel and work_items >= self.min_parallel_work
-
     def use_shm(self, operand_bytes: int) -> bool:
         """Whether process-backend operands of *operand_bytes* go zero-copy.
 
@@ -148,35 +143,37 @@ def get_config() -> RuntimeConfig:
     return _config
 
 
-def _invalidate_stale_pools(old: RuntimeConfig, new: RuntimeConfig) -> None:
-    """Drain cached pools the reconfigure made stale (no-op when unchanged).
+def _switch(make: Callable[[RuntimeConfig], RuntimeConfig]) -> RuntimeConfig:
+    """The one config transition: swap, drain superseded pools, sync tracing.
 
-    ``get_executor`` caches pools per ``(backend, workers)``; without this a
-    ``configure(workers=...)`` mid-session would leave the previous pool's
-    workers alive for the rest of the process.  Imported lazily — the executor
-    module imports this one at its top level.
+    :func:`configure`, :func:`reset` and the exit of :func:`configured` all go
+    through here; *make* maps the active config to its successor under the
+    lock.  A transition that changes the resolved ``(backend, workers)`` pair
+    drains the pools it superseded
+    (:func:`repro.runtime.executor.invalidate_stale_pools`), so superseded
+    workers never linger for the rest of the process — except inside a worker
+    task, which must not drain the pool running it.  The executor module is
+    imported lazily because it imports this one at its top level.
+
+    The process-global tracer is then aligned with ``tracing``: enabling is
+    idempotent, and disabling flushes the ring to the configured sink first
+    (see :func:`repro.obs.trace.flush_active`) so buffered spans are never
+    silently dropped by a reconfigure.
     """
-    if (old.resolved_backend(), old.workers) == (new.resolved_backend(), new.workers):
-        return
-    if in_serial_region():
-        # a worker task reconfiguring must not drain the pool running it
-        return
-    from repro.runtime import executor
+    global _config
+    with _lock:
+        old = _config
+        new = _config = make(old)
+    shape = (new.resolved_backend(), new.workers)
+    if (old.resolved_backend(), old.workers) != shape and not in_serial_region():
+        from repro.runtime import executor
 
-    executor.invalidate_stale_pools(new)
-
-
-def _sync_tracing(cfg: RuntimeConfig) -> None:
-    """Align the process-global tracer with ``cfg.tracing``.
-
-    Enabling is idempotent; disabling flushes the ring to the configured sink
-    first (see :func:`repro.obs.trace.flush_active`) so buffered spans are
-    never silently dropped by a reconfigure.
-    """
-    if cfg.tracing and not _trace.is_enabled():
+        executor.invalidate_stale_pools(new)
+    if new.tracing and not _trace.is_enabled():
         _trace.enable()
-    elif not cfg.tracing and _trace.is_enabled():
+    elif not new.tracing and _trace.is_enabled():
         _trace.disable(flush=True)
+    return new
 
 
 def configure(
@@ -199,38 +196,25 @@ def configure(
     back a pool built for a superseded worker count, and the superseded
     workers do not linger for the rest of the process.
     """
-    global _config
-    with _lock:
-        cfg = _config
-        updates: dict[str, object] = {}
-        if workers is not None:
-            updates["workers"] = int(workers)
-        if block_rows != "unchanged":
-            updates["block_rows"] = None if block_rows is None else int(block_rows)
-        if backend is not None:
-            updates["backend"] = backend
-        if min_parallel_work is not None:
-            updates["min_parallel_work"] = int(min_parallel_work)
-        if shm_min_bytes != "unchanged":
-            updates["shm_min_bytes"] = None if shm_min_bytes is None else int(shm_min_bytes)
-        if tracing is not None:
-            updates["tracing"] = bool(tracing)
-        _config = replace(cfg, **updates) if updates else cfg
-        new = _config
-    _invalidate_stale_pools(cfg, new)
-    _sync_tracing(new)
-    return new
+    updates: dict[str, object] = {}
+    if workers is not None:
+        updates["workers"] = int(workers)
+    if block_rows != "unchanged":
+        updates["block_rows"] = None if block_rows is None else int(block_rows)
+    if backend is not None:
+        updates["backend"] = backend
+    if min_parallel_work is not None:
+        updates["min_parallel_work"] = int(min_parallel_work)
+    if shm_min_bytes != "unchanged":
+        updates["shm_min_bytes"] = None if shm_min_bytes is None else int(shm_min_bytes)
+    if tracing is not None:
+        updates["tracing"] = bool(tracing)
+    return _switch(lambda cfg: replace(cfg, **updates) if updates else cfg)
 
 
 def reset() -> RuntimeConfig:
     """Restore the default (serial) configuration."""
-    global _config
-    with _lock:
-        previous = _config
-        _config = _DEFAULT
-    _invalidate_stale_pools(previous, _DEFAULT)
-    _sync_tracing(_DEFAULT)
-    return _config
+    return _switch(lambda _: _DEFAULT)
 
 
 @contextmanager
@@ -242,18 +226,19 @@ def configured(
     shm_min_bytes: int | None | str = "unchanged",
     tracing: bool | None = None,
 ) -> Iterator[RuntimeConfig]:
-    """Scope a configuration to a ``with`` block, restoring the previous one."""
-    global _config
-    with _lock:
-        previous = _config
+    """Scope a configuration to a ``with`` block, restoring the previous one.
+
+    Both ends are full transitions: leaving the block drains the pools the
+    scoped config built for the restored backend, just as a ``configure``
+    back to the previous setting would.
+    """
+    previous = _config
     try:
         yield configure(
             workers, block_rows, backend, min_parallel_work, shm_min_bytes, tracing
         )
     finally:
-        with _lock:
-            _config = previous
-        _sync_tracing(previous)
+        _switch(lambda _: previous)
 
 
 def in_serial_region() -> bool:
@@ -271,25 +256,23 @@ def serial_region() -> Iterator[None]:
         _tls.serial_depth -= 1
 
 
-def parallel_config(work_items: int) -> RuntimeConfig | None:
-    """The active config if *work_items* should run in parallel, else ``None``.
-
-    It folds together the opt-in (``workers > 1``), the work-size floor, and
-    the nested-region guard.  The library reaches it through one gate,
-    :func:`blocked_config`.
-    """
-    cfg = _config
-    if not cfg.parallel or work_items < cfg.min_parallel_work or in_serial_region():
-        return None
-    return cfg
-
-
 def blocked_config(work_items: int, n_rows: int) -> RuntimeConfig | None:
     """The active config if *work_items* over *n_rows* rows should run on the
     row-blocked engine (:mod:`repro.assoc.blocked`), else ``None``.
 
     This is the one gate: the planner's kernel dispatchers and
-    :func:`repro.assoc.sparse.coalesce` both ask it.  A single row cannot be
+    :func:`repro.assoc.sparse.coalesce` both ask it.  It folds together the
+    opt-in (``workers > 1`` on a non-serial backend), the work-size floor
+    (``min_parallel_work``), the nested-region guard (work already inside a
+    worker task stays serial), and the row count: a single row cannot be
     split, so it stays serial whatever the config.
     """
-    return parallel_config(work_items) if n_rows > 1 else None
+    cfg = _config
+    if (
+        n_rows <= 1
+        or not cfg.parallel
+        or work_items < cfg.min_parallel_work
+        or in_serial_region()
+    ):
+        return None
+    return cfg

@@ -1,22 +1,23 @@
 """Pluggable executors and the chunk-size heuristic for blocked kernels.
 
-Three interchangeable executors share one interface (ordered ``map``):
+Two executors share one interface (ordered ``map``):
 
 * :class:`SerialExecutor` — plain loop, zero overhead, the default;
-* :class:`ThreadExecutor` — ``concurrent.futures.ThreadPoolExecutor``.  The
-  hot NumPy loops (sorting, ``reduceat``, fancy indexing) release the GIL, so
-  row blocks genuinely overlap;
-* :class:`ProcessExecutor` — ``ProcessPoolExecutor`` for workloads where the
-  GIL-holding share matters.  Task payloads must pickle, which every built-in
+* :class:`PoolExecutor` — a ``concurrent.futures`` pool chosen by backend
+  name.  ``thread`` pools suit NumPy kernels, whose hot loops (sorting,
+  ``reduceat``, fancy indexing) release the GIL so row blocks genuinely
+  overlap; ``process`` pools suit workloads where the GIL-holding share
+  matters, and their task payloads must pickle, which every built-in
   semiring does.
 
 Pools are created lazily and cached per ``(backend, workers)`` so repeated
 kernel calls reuse warm workers; :func:`shutdown_executors` tears them down
 (registered with ``atexit``).
 
-Every task runs inside :func:`repro.runtime.config.serial_region`, so kernels
-invoked *from a worker* never try to re-enter a pool — nested parallelism is
-structurally impossible rather than merely discouraged.
+Every task runs through one picklable wrapper, :func:`_run_task`, inside
+:func:`repro.runtime.config.serial_region`, so kernels invoked *from a
+worker* never try to re-enter a pool — nested parallelism is structurally
+impossible rather than merely discouraged.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from concurrent.futures import (
     as_completed,
 )
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.errors import RuntimeConfigError, WorkerCrashError
 from repro.obs import metrics as _metrics
@@ -42,8 +43,7 @@ from repro.runtime.config import RuntimeConfig, get_config, in_serial_region, se
 
 __all__ = [
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
+    "PoolExecutor",
     "get_executor",
     "invalidate_stale_pools",
     "shutdown_executors",
@@ -68,25 +68,24 @@ MIN_NNZ_PER_BLOCK = 1024
 BLOCKS_PER_WORKER = 4
 
 
-def _guarded_call(fn: Callable[[T], R], item: T) -> R:
-    """Run one task with nested-parallelism disabled (picklable helper)."""
-    with serial_region():
-        return fn(item)
+def _run_task(
+    fn: Callable[[T], R], item: T, traced: bool, label: str, index: int
+) -> "tuple[R, list[_trace.SpanRecord] | None]":
+    """Run one task with nested parallelism disabled (picklable helper).
 
-
-def _traced_call(
-    fn: Callable[[T], R], item: T, label: str, index: int
-) -> "tuple[R, list[_trace.SpanRecord]]":
-    """Run one task under a worker-side span collector (picklable helper).
-
-    The task's spans — its own ``runtime.task`` root plus anything the kernel
+    Returns ``(value, records)``.  With *traced* off, ``records`` is ``None``
+    and the task makes no collector and reads no clock.  With it on, the
+    task's spans — its own ``runtime.task`` root plus anything the kernel
     opens beneath it — are captured into a private per-thread tracer and
     shipped back alongside the result; the dispatching side stitches them
-    under the parent span with :meth:`~repro.obs.trace.Tracer.adopt`.  Works
-    identically on the thread and process backends: the collector is
-    thread-local state in whichever interpreter runs the task, and
-    :class:`~repro.obs.trace.SpanRecord` pickles.
+    under its own span with :meth:`~repro.obs.trace.Tracer.adopt`.  Works
+    identically in the calling thread, a pool thread and a pool process: the
+    collector is thread-local state in whichever interpreter runs the task,
+    and :class:`~repro.obs.trace.SpanRecord` pickles.
     """
+    if not traced:
+        with serial_region():
+            return fn(item), None
     with _trace.collecting() as collector:
         with collector.span("runtime.task", label=label, index=index):
             with serial_region():
@@ -103,18 +102,16 @@ def _serial_map(
     total = len(items)
     tracer = _trace.get_tracer()
     for k, item in enumerate(items, start=1):
-        if tracer.enabled:
-            with tracer.span("runtime.task", label="", index=k - 1):
-                out.append(_guarded_call(fn, item))
-        else:
-            out.append(_guarded_call(fn, item))
+        value, records = _run_task(fn, item, tracer.enabled, "", k - 1)
+        tracer.adopt(records or (), parent_id=tracer.current_span_id())
+        out.append(value)
         if on_progress is not None:
             on_progress(k, total)
     return out
 
 
 def _crash_error(
-    executor: "ThreadExecutor | ProcessExecutor",
+    executor: "PoolExecutor",
     exc: BrokenExecutor,
     *,
     label: str,
@@ -138,7 +135,7 @@ def _crash_error(
 
 @contextmanager
 def _map_obs(
-    executor: "ThreadExecutor | ProcessExecutor",
+    executor: "PoolExecutor",
     total: int,
     label: str,
 ) -> "Iterator[tuple[_trace.Tracer | _trace.NullTracer, _trace.Span | _trace.NullSpan]]":
@@ -164,8 +161,13 @@ def _map_obs(
     _metrics.histogram("runtime.map_ms").observe((_metrics.monotonic_ns() - t0) / 1e6)
 
 
+def _span_id(span: "_trace.Span | _trace.NullSpan") -> int | None:
+    """The id worker records are stitched under (``None`` when untraced)."""
+    return span.span_id if isinstance(span, _trace.Span) else None
+
+
 def _pool_map(
-    executor: "ThreadExecutor | ProcessExecutor",
+    executor: "PoolExecutor",
     fn: Callable[[T], R],
     items: Sequence[T],
     on_progress: ProgressCallback | None,
@@ -188,23 +190,19 @@ def _pool_map(
     observe a full progress bar with work still in flight.  Each skipped
     future is recorded in the ``runtime.tasks_crashed`` counter instead.
 
-    When tracing is live, tasks run under :func:`_traced_call`: worker-side
-    spans come back with each result and are stitched under this map's
-    ``runtime.map`` span, one tree across threads and processes.
+    When tracing is live, worker-side spans come back with each result and
+    are stitched under this map's ``runtime.map`` span, one tree across
+    threads and processes.
     """
     total = len(items)
     with _map_obs(executor, total, label) as (tracer, span):
         traced = tracer.enabled
-        parent_id = span.span_id if isinstance(span, _trace.Span) else None
-        futures: list[Future[Any]]
+        futures: "list[Future[tuple[R, list[_trace.SpanRecord] | None]]]"
         try:
-            if traced:
-                futures = [
-                    executor._pool.submit(_traced_call, fn, item, label, k)
-                    for k, item in enumerate(items)
-                ]
-            else:
-                futures = [executor._pool.submit(_guarded_call, fn, item) for item in items]
+            futures = [
+                executor._pool.submit(_run_task, fn, item, traced, label, k)
+                for k, item in enumerate(items)
+            ]
         except BrokenExecutor as exc:  # pool already broken before this call
             raise _crash_error(
                 executor, exc, label=label, task_index=None, total=total
@@ -222,17 +220,13 @@ def _pool_map(
         out: list[R] = []
         for k, future in enumerate(futures):
             try:
-                result = future.result()
+                value, records = future.result()
             except BrokenExecutor as exc:
                 raise _crash_error(
                     executor, exc, label=label, task_index=k, total=total
                 ) from exc
-            if traced:
-                value, records = result
-                tracer.adopt(records, parent_id=parent_id)
-                out.append(value)
-            else:
-                out.append(result)
+            tracer.adopt(records or (), parent_id=_span_id(span))
+            out.append(value)
     return out
 
 
@@ -241,10 +235,6 @@ class SerialExecutor:
 
     name = "serial"
     workers = 1
-
-    @property
-    def broken(self) -> bool:
-        return False
 
     def map(
         self,
@@ -256,54 +246,33 @@ class SerialExecutor:
         return _serial_map(fn, items, on_progress)
 
 
-class ThreadExecutor:
-    """Thread-pool executor; best default because NumPy releases the GIL."""
+class PoolExecutor:
+    """A ``thread`` or ``process`` worker pool, named by its backend.
 
-    name = "thread"
-
-    def __init__(self, workers: int) -> None:
-        self.workers = int(workers)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-runtime"
-        )
-
-    @property
-    def broken(self) -> bool:
-        # threads cannot segfault the pool the way child processes can
-        return False
-
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        on_progress: ProgressCallback | None = None,
-        label: str = "",
-    ) -> list[R]:
-        return _pool_map(self, fn, items, on_progress, label)
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-class ProcessExecutor:
-    """Process-pool executor for fully GIL-free execution.
-
-    Tasks and their arguments cross a pickle boundary; all built-in semirings
-    and monoids are picklable (their operators are module-level functions).
-    Large CSR operands skip that boundary entirely — see
-    :mod:`repro.runtime.shm` and :meth:`RuntimeConfig.use_shm`.
+    ``thread`` is the best default because NumPy releases the GIL.  On
+    ``process``, tasks and their arguments cross a pickle boundary; all
+    built-in semirings and monoids are picklable (their operators are
+    module-level functions), and large CSR operands skip that boundary
+    entirely — see :mod:`repro.runtime.shm` and :meth:`RuntimeConfig.use_shm`.
     """
 
-    name = "process"
-
-    def __init__(self, workers: int) -> None:
+    def __init__(self, backend: str, workers: int) -> None:
+        self.name = backend
         self.workers = int(workers)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._pool: ThreadPoolExecutor | ProcessPoolExecutor
+        if backend == "thread":
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-runtime"
+            )
+        elif backend == "process":
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        else:  # pragma: no cover - BACKENDS validation makes this unreachable
+            raise RuntimeConfigError(f"unknown backend {backend!r}")
 
     @property
     def broken(self) -> bool:
-        """Whether a worker death has poisoned the underlying pool."""
-        return getattr(self._pool, "_broken", False) is not False
+        """Whether a worker death (or failed start) has poisoned the pool."""
+        return self._pool._broken is not False
 
     def map(
         self,
@@ -319,26 +288,30 @@ class ProcessExecutor:
 
 
 _SERIAL = SerialExecutor()
-_pools: dict[tuple[str, int], ThreadExecutor | ProcessExecutor] = {}
+_pools: dict[tuple[str, int], PoolExecutor] = {}
 _pool_lock = threading.Lock()
 
 
-def _evict(executor: ThreadExecutor | ProcessExecutor) -> None:
-    """Drop *executor* from the cache and shut it down (crash recovery)."""
-    with _pool_lock:
-        for key, pool in list(_pools.items()):
-            if pool is executor:
-                del _pools[key]
-                _metrics.counter("runtime.pools_evicted").inc()
+def _shutdown_quietly(executor: PoolExecutor) -> None:
     try:
         executor.shutdown()
     except Exception:  # pragma: no cover - broken pools may refuse teardown
         pass
 
 
+def _evict(executor: PoolExecutor) -> None:
+    """Drop *executor* from the cache and shut it down (crash recovery)."""
+    with _pool_lock:
+        for key, pool in list(_pools.items()):
+            if pool is executor:
+                del _pools[key]
+                _metrics.counter("runtime.pools_evicted").inc()
+    _shutdown_quietly(executor)
+
+
 def get_executor(
     config: RuntimeConfig | None = None,
-) -> SerialExecutor | ThreadExecutor | ProcessExecutor:
+) -> SerialExecutor | PoolExecutor:
     """The executor for *config* (default: the active config), cached.
 
     A cached pool poisoned by a worker death is discarded here and rebuilt,
@@ -349,40 +322,31 @@ def get_executor(
     if backend == "serial" or cfg.workers == 1:
         return _SERIAL
     key = (backend, cfg.workers)
-    stale: ThreadExecutor | ProcessExecutor | None = None
+    stale: PoolExecutor | None = None
     with _pool_lock:
         pool = _pools.get(key)
         if pool is not None and pool.broken:
             stale = pool
-            del _pools[key]
             pool = None
         if pool is None:
-            if backend == "thread":
-                pool = ThreadExecutor(cfg.workers)
-            elif backend == "process":
-                pool = ProcessExecutor(cfg.workers)
-            else:  # pragma: no cover - BACKENDS validation makes this unreachable
-                raise RuntimeConfigError(f"unknown backend {backend!r}")
-            _pools[key] = pool
+            pool = _pools[key] = PoolExecutor(backend, cfg.workers)
             _metrics.counter("runtime.pools_built").inc()
     if stale is not None:
-        try:
-            stale.shutdown()
-        except Exception:  # pragma: no cover - broken pools may refuse teardown
-            pass
+        _shutdown_quietly(stale)
     return pool
 
 
 def invalidate_stale_pools(config: RuntimeConfig) -> None:
     """Drain cached pools that *config* superseded.
 
-    Called by :func:`repro.runtime.config.configure` after the active config
-    changes its resolved ``(backend, workers)`` pair: a pool cached for the
-    same backend under a different worker count is now stale — without this,
-    its workers would linger for the rest of the process and a later
-    ``get_executor()`` for that key could hand it back.  Pools for *other*
-    backends stay warm (switching ``thread`` → ``process`` and back should
-    not cold-start the thread pool).
+    Called by every transition of the active config (``configure``,
+    ``reset`` and the exit of ``configured``) that changes its resolved
+    ``(backend, workers)`` pair: a pool cached for the same backend under a
+    different worker count is now stale — without this, its workers would
+    linger for the rest of the process and a later ``get_executor()`` for
+    that key could hand it back.  Pools for *other* backends stay warm
+    (switching ``thread`` → ``process`` and back should not cold-start the
+    thread pool).
     """
     backend = config.resolved_backend()
     with _pool_lock:
@@ -457,10 +421,12 @@ async def async_submit(
     This is the asyncio bridge the scenario service builds on: thread and
     process configs reuse the same cached pools as :func:`parallel_map`
     (``loop.run_in_executor`` accepts a ``concurrent.futures`` pool directly),
-    while a serial config runs the task on a transient thread
-    (``asyncio.to_thread``) so a blocking build never stalls the loop.  The
-    task runs inside :func:`~repro.runtime.config.serial_region` either way —
-    nested parallelism stays structurally impossible.
+    while a serial config runs the task on a transient thread so a blocking
+    build never stalls the loop.  That hop is ``asyncio.to_thread``, which
+    copies the caller's :mod:`contextvars` into the task (``run_in_executor``
+    would not).  The task runs inside
+    :func:`~repro.runtime.config.serial_region` either way — nested
+    parallelism stays structurally impossible.
 
     A worker death surfaces as :class:`~repro.errors.WorkerCrashError` naming
     *label*, and the broken pool is evicted so later submissions get a fresh
@@ -469,31 +435,22 @@ async def async_submit(
     executor = get_executor(config)
     _metrics.counter("runtime.async_submits").inc()
     tracer = _trace.get_tracer()
-    if isinstance(tracer, _trace.Tracer):
-        with tracer.span(
-            "runtime.async_submit", label=label, backend=executor.name
-        ) as span:
-            if isinstance(executor, SerialExecutor):
-                value, records = await asyncio.to_thread(_traced_call, fn, item, label, 0)
-            else:
-                loop = asyncio.get_running_loop()
-                try:
-                    value, records = await loop.run_in_executor(
-                        executor._pool, _traced_call, fn, item, label, 0
-                    )
-                except BrokenExecutor as exc:
-                    raise _crash_error(
-                        executor, exc, label=label, task_index=None, total=1
-                    ) from exc
-            tracer.adopt(records, parent_id=span.span_id)
-            return value
-    if isinstance(executor, SerialExecutor):
-        return await asyncio.to_thread(_guarded_call, fn, item)
-    loop = asyncio.get_running_loop()
-    try:
-        return await loop.run_in_executor(executor._pool, _guarded_call, fn, item)
-    except BrokenExecutor as exc:
-        raise _crash_error(executor, exc, label=label, task_index=None, total=1) from exc
+    traced = tracer.enabled
+    with tracer.span("runtime.async_submit", label=label, backend=executor.name) as span:
+        if isinstance(executor, PoolExecutor):
+            loop = asyncio.get_running_loop()
+            try:
+                value, records = await loop.run_in_executor(
+                    executor._pool, _run_task, fn, item, traced, label, 0
+                )
+            except BrokenExecutor as exc:
+                raise _crash_error(
+                    executor, exc, label=label, task_index=None, total=1
+                ) from exc
+        else:
+            value, records = await asyncio.to_thread(_run_task, fn, item, traced, label, 0)
+        tracer.adopt(records or (), parent_id=_span_id(span))
+    return value
 
 
 def choose_block_rows(

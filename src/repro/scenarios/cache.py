@@ -409,21 +409,17 @@ class ScenarioCache:
         self.put(spec, built, key)
         return built, "build"
 
-    def warm(
-        self,
-        specs: Iterable[ScenarioSpec],
-        *,
-        workers: int | None = None,
-        backend: str | None = None,
-    ) -> int:
+    def warm(self, specs: Iterable[ScenarioSpec]) -> int:
         """Pre-populate the cache; returns the number of specs actually built.
 
         Idempotent: specs already resident are skipped with a counter-neutral
         presence peek (warming is maintenance, not traffic — it must not skew
         hit rates), and duplicate specs in one call build once.  The builds
         themselves run through :func:`repro.scenarios.generate_batch` with
-        this cache attached, so they parallelise like any batch and their
-        misses/puts are accounted normally, and their store writes are
+        this cache attached, under the process-wide runtime config
+        (:func:`repro.runtime.configure`; scope one with
+        :func:`repro.runtime.configured`), so they parallelise like any batch,
+        their misses/puts are accounted normally, and their store writes are
         durable when this returns.
         """
         from repro.scenarios.batch import generate_batch
@@ -441,7 +437,7 @@ class ScenarioCache:
             seen.add(key)
             missing.append(spec)
         if missing:
-            generate_batch(missing, workers=workers, backend=backend, cache=self)
+            generate_batch(missing, cache=self)
         return len(missing)
 
     def clear(self) -> None:

@@ -9,10 +9,10 @@ generate_batch` fan-out to a resident front end for scenario traffic:
   buffering unboundedly, and ``submit(..., wait=False)`` fails fast with
   :class:`~repro.errors.ScenarioServiceError`.
 * **Bounded execution.**  A fixed pool of worker tasks (``concurrency``)
-  drains the queue; each build runs on the existing :mod:`repro.runtime`
-  executors through :func:`repro.runtime.executor.async_submit`
-  (``run_in_executor`` on the cached thread/process pools, ``to_thread`` for
-  a serial config), so the event loop never blocks on NumPy.
+  drains the queue; each build runs under the process-wide
+  :func:`repro.runtime.configure` setting through
+  :func:`repro.runtime.executor.async_submit`, so the event loop never
+  blocks on NumPy.
 * **Content-addressed caching.**  Every build routes through a
   :class:`~repro.scenarios.ScenarioCache` keyed by ``spec.cache_key()``;
   repeated traffic is served bit-identically from memory, ``warm()``
@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import ReproError, ScenarioError, ScenarioServiceError
 from repro.obs import metrics as _obs
-from repro.runtime.config import RuntimeConfig, configured, get_config
+from repro.runtime.config import configured
 from repro.runtime.executor import async_submit, parallel_map
 from repro.scenarios.cache import ScenarioCache
 from repro.scenarios.delta import DeltaResult, apply_delta
@@ -122,8 +122,10 @@ def run_batch_sync(
     """The synchronous batch path (the body of ``generate_batch``).
 
     Cache hits resolve before the fan-out (their progress fires first, in
-    spec order); misses fan out over the runtime executors and are stored on
-    completion, durably before this returns when the cache has a store.
+    spec order); misses fan out over the runtime executors, under a config
+    whose ``workers``/``backend`` are scoped to this call where given (the
+    process-wide setting otherwise), and are stored on completion, durably
+    before this returns when the cache has a store.
     Results always come back in input order, bit-identical on every backend.
     """
     seq = _validate_batch(specs, what)
@@ -148,11 +150,8 @@ def run_batch_sync(
             def hook(finished: int, _pending_total: int) -> None:
                 on_progress(base_done + finished, total)
 
-        if workers is None and backend is None:
+        with configured(workers=workers, backend=backend):
             built = parallel_map(_build_indexed, pending, on_progress=hook)
-        else:
-            with configured(workers=workers, backend=backend, min_parallel_work=1):
-                built = parallel_map(_build_indexed, pending, on_progress=hook)
         for (k, spec), matrix in zip(pending, built):
             if cache is not None:
                 cache.put(spec, matrix)
@@ -271,10 +270,10 @@ class ScenarioService:
         thread group-commits them, and every result the service served is
         durable once :meth:`stop` returns (which re-raises a failure the
         writer met).
-    workers / backend:
-        Runtime override for the executor builds run on (default: the
-        process-wide :func:`repro.runtime.configure` setting).  The
-        ``process`` backend requires picklable specs — all are.
+
+    Builds run under the process-wide :func:`repro.runtime.configure`
+    setting; scope one with :func:`repro.runtime.configured`.  The
+    ``process`` backend requires picklable specs — all are.
     """
 
     def __init__(
@@ -286,8 +285,6 @@ class ScenarioService:
         store: "ScenarioStore | None" = None,
         max_entries: int | None = 256,
         max_bytes: int | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
     ) -> None:
         if int(concurrency) < 1:
             raise ScenarioServiceError(
@@ -309,8 +306,6 @@ class ScenarioService:
         )
         self.concurrency = int(concurrency)
         self.queue_size = int(queue_size)
-        self._workers = workers
-        self._backend = backend
         self._queue: "asyncio.Queue | None" = None
         self._tasks: "list[asyncio.Task]" = []
         self._counters = {
@@ -342,20 +337,6 @@ class ScenarioService:
     @property
     def running(self) -> bool:
         return self._queue is not None
-
-    def _runtime_config(self) -> RuntimeConfig | None:
-        """The executor config builds run under (None = process-wide default)."""
-        if self._workers is None and self._backend is None:
-            return None
-        cfg = get_config()
-        updates: dict[str, object] = {}
-        if self._workers is not None:
-            updates["workers"] = int(self._workers)
-        if self._backend is not None:
-            updates["backend"] = self._backend
-        from dataclasses import replace
-
-        return replace(cfg, **updates)
 
     async def start(self) -> "ScenarioService":
         """Create the queue and worker tasks; idempotent-unsafe by design."""
@@ -436,7 +417,6 @@ class ScenarioService:
                     matrix = await async_submit(
                         _build_indexed,
                         (index, spec),
-                        self._runtime_config(),
                         label=f"spec {index} ({spec.base!r})",
                     )
                 except Exception as exc:  # build failure -> the spec's future

@@ -12,6 +12,7 @@ import repro
 
 from repro import runtime
 from repro.errors import RuntimeConfigError, WorkerCrashError
+from repro.runtime.config import blocked_config
 from repro.runtime.executor import MIN_NNZ_PER_BLOCK, SerialExecutor
 
 
@@ -92,24 +93,21 @@ class TestConfig:
         assert runtime.RuntimeConfig(workers=2).resolved_backend() == "thread"
         assert runtime.RuntimeConfig(workers=2, backend="process").resolved_backend() == "process"
 
-    def test_should_parallelize_threshold(self):
-        cfg = runtime.RuntimeConfig(workers=4, min_parallel_work=100)
-        assert cfg.should_parallelize(100)
-        assert not cfg.should_parallelize(99)
-        assert not runtime.RuntimeConfig(workers=1).should_parallelize(10**9)
-
-    def test_parallel_config_gate(self):
-        assert runtime.parallel_config(10**9) is None  # serial default
+    def test_blocked_config_gate(self):
+        assert blocked_config(10**9, 100) is None  # serial default
         runtime.configure(workers=4, min_parallel_work=10)
-        assert runtime.parallel_config(10) is not None
-        assert runtime.parallel_config(9) is None
+        assert blocked_config(10, 2) is runtime.get_config()
+        assert blocked_config(9, 2) is None  # below the work floor
+        assert blocked_config(10**9, 1) is None  # one row cannot be split
+        runtime.configure(backend="serial")
+        assert blocked_config(10**9, 100) is None
 
     def test_serial_region_blocks_dispatch(self):
         runtime.configure(workers=4, min_parallel_work=1)
-        assert runtime.parallel_config(100) is not None
+        assert blocked_config(100, 2) is not None
         with runtime.serial_region():
             assert runtime.in_serial_region()
-            assert runtime.parallel_config(100) is None
+            assert blocked_config(100, 2) is None
         assert not runtime.in_serial_region()
 
 
@@ -154,6 +152,23 @@ class TestExecutors:
 
         assert runtime.parallel_map(outer, [0, 1, 2, 3]) == [[2, 3, 4]] * 4
 
+    def test_async_submit_serial_hop_keeps_contextvars(self):
+        """The serial hop copies the caller's context into the task, which is
+        how a benchmark's per-request id reaches the build it caused."""
+        import asyncio
+        import contextvars
+
+        probe: contextvars.ContextVar[str | None] = contextvars.ContextVar(
+            "probe", default=None
+        )
+
+        async def main():
+            probe.set("op-7")
+            return await runtime.async_submit(lambda _: probe.get(), None)
+
+        assert runtime.get_executor().name == "serial"
+        assert asyncio.run(main()) == "op-7"
+
 
 class TestPoolInvalidation:
     """configure() must never leave a stale cached pool behind (ISSUE 8)."""
@@ -184,6 +199,19 @@ class TestPoolInvalidation:
         runtime.configure(backend="thread", workers=2)
         assert runtime.get_executor() is thread_pool
         assert not thread_pool._pool._shutdown
+
+    def test_configured_exit_drains_the_scoped_pool(self):
+        """Leaving a scoped config is a full transition: the pool it built
+        for the restored backend does not linger beside the restored one."""
+        from repro.runtime import executor
+
+        runtime.configure(workers=2, backend="thread")
+        with runtime.configured(workers=3):
+            assert runtime.parallel_map(abs, [-1, -2, -3]) == [1, 2, 3]
+            scoped = runtime.get_executor()
+        assert runtime.parallel_map(abs, [-1, -2]) == [1, 2]
+        assert sorted(executor._pools) == [("thread", 2)]
+        assert scoped._pool._shutdown
 
 
 class TestWorkerCrash:

@@ -20,7 +20,7 @@ from repro.assoc.semiring import LOR_LAND, MIN_PLUS, PLUS_MONOID, PLUS_TIMES
 from repro.assoc.sparse import CSRMatrix
 from repro.errors import SharedMemoryError, WorkerCrashError
 from repro.runtime import shm
-from repro.runtime.executor import ProcessExecutor
+from repro.runtime.executor import PoolExecutor
 
 _DEV_SHM = pathlib.Path("/dev/shm")
 
@@ -181,7 +181,7 @@ class TestKernelLifecycle:
         def boom(self, fn, items, on_progress=None, label=""):
             raise RuntimeError("task exploded before completion")
 
-        monkeypatch.setattr(ProcessExecutor, "map", boom)
+        monkeypatch.setattr(PoolExecutor, "map", boom)
         before = _segment_files()
         with pytest.raises(RuntimeError, match="exploded"):
             blocked.parallel_mxm(a, b, PLUS_TIMES, cfg)

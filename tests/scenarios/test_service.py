@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from repro import runtime
 from repro.errors import ScenarioError, ScenarioServiceError
 from repro.scenarios import (
     ScenarioCache,
@@ -17,6 +18,7 @@ from repro.scenarios import (
     extend_spec,
     generate_batch,
 )
+from repro.scenarios import service as service_mod
 
 
 def specs_of(count: int, base: str = "ring", n: int = 12) -> list[ScenarioSpec]:
@@ -74,18 +76,30 @@ class TestResults:
             assert got == ref
             assert got.meta == ref.meta
 
-    def test_thread_backend_bit_identity(self):
+    def test_thread_backend_bit_identity(self, monkeypatch):
         specs = specs_of(6, base="mesh", n=16)
         reference = generate_batch(specs, workers=1, backend="serial")
+        build_threads: list[str] = []
+        build = service_mod._build_indexed
+
+        def recording_build(item):
+            build_threads.append(threading.current_thread().name)
+            return build(item)
+
+        monkeypatch.setattr(service_mod, "_build_indexed", recording_build)
 
         async def main():
-            async with ScenarioService(
-                concurrency=2, workers=3, backend="thread"
-            ) as service:
+            async with ScenarioService(concurrency=2) as service:
                 return await service.generate(specs)
 
-        for got, ref in zip(asyncio.run(main()), reference):
+        with runtime.configured(workers=3, backend="thread"):
+            results = asyncio.run(main())
+        for got, ref in zip(results, reference):
             assert got == ref and got.meta == ref.meta
+        assert len(build_threads) == len(specs)
+        assert all(name.startswith("repro-runtime") for name in build_threads), (
+            f"builds must run on the runtime's thread pool: {build_threads}"
+        )
 
     def test_handle_await_is_results_shorthand(self):
         specs = specs_of(3)
