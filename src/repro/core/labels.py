@@ -10,6 +10,7 @@ template label sets shipped with the game (6×6 and 10×10).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.errors import LabelError
@@ -65,7 +66,37 @@ def validate_labels(
 
     ``warn_length`` keeps labels within :data:`MAX_LABEL_LENGTH` characters;
     it raises rather than warns because modules violating it render broken.
+
+    A tuple or list of exact ``str`` is validated once per
+    ``(labels, size, warn_length)`` and then served from a small memo, so a
+    recurring axis (every generator's ``space_labels(n)``, a JSON header) is
+    checked once per process.  Anything else — ``str`` subclasses such as
+    ``np.str_`` included — takes the uncached path.  Errors are never
+    memoised: a bad axis raises on every call.
     """
+    if (type(labels) is tuple or type(labels) is list) and all(
+        type(lb) is str for lb in labels
+    ):
+        return _validate_str_axis(tuple(labels), size, warn_length)
+    return _validate(labels, size, warn_length)
+
+
+#: Distinct axes the memo holds: every ``space_labels(n)`` a corpus uses
+#: (n up to a few dozen) plus the shipped templates fit with room to spare.
+_AXIS_MEMO = 64
+
+
+@lru_cache(maxsize=_AXIS_MEMO)
+def _validate_str_axis(
+    labels: tuple[str, ...], size: int | None, warn_length: bool
+) -> tuple[str, ...]:
+    """:func:`_validate` over a tuple of ``str``, memoised (errors never are)."""
+    return _validate(labels, size, warn_length)
+
+
+def _validate(
+    labels: Iterable[str], size: int | None, warn_length: bool
+) -> tuple[str, ...]:
     norm = tuple(normalize_label(lb) for lb in labels)
     seen: set[str] = set()
     for lb in norm:

@@ -356,17 +356,11 @@ class TrafficMatrix:
 
         Colour priority red(2) > blue(1) > grey(0) means an adversarial
         annotation survives composition — exactly what the paper's "combine
-        the stages together" exercise needs.  This is the single definition
-        of the rule; :func:`repro.graphs.compose.overlay` sums through it.
+        the stages together" exercise needs.  The rule lives in
+        :func:`_overlay_sum`, which :func:`repro.graphs.compose.overlay`
+        shares.
         """
-        self._check_compatible(other)
-        return TrafficMatrix(
-            _non_negative(self._packets + other._packets),
-            self._labels,
-            np.maximum(self._colors, other._colors),
-            extended_colors=self._extended or other._extended,
-            _trusted=True,
-        )
+        return _overlay_sum((self, other))
 
     def __mul__(self, scalar: int) -> "TrafficMatrix":
         """Scale every packet count by a non-negative integer."""
@@ -623,3 +617,33 @@ class TrafficMatrix:
                 cells.append(cell.rjust(width))
             lines.append(lb.rjust(width) + " " + " ".join(cells))
         return "\n".join(lines)
+
+
+def _overlay_sum(matrices: Sequence[TrafficMatrix]) -> TrafficMatrix:
+    """Sum same-labelled matrices in place: packets add, colours take the max.
+
+    The one definition of the overlay rule, behind ``+`` and
+    :func:`repro.graphs.compose.overlay`.  The first layer is copied once
+    and every later layer accumulates into that copy, with the same result
+    as a left fold of ``+``: the running sum is checked for negative counts
+    after every layer (an ``int64`` wrap could turn positive again by the
+    end), and a single layer keeps its metadata while a sum of several
+    carries none.
+    """
+    first = matrices[0]
+    packets = first._packets.copy()
+    colors = first._colors.copy()
+    extended = first._extended
+    for other in matrices[1:]:
+        first._check_compatible(other)
+        _non_negative(np.add(packets, other._packets, out=packets))
+        np.maximum(colors, other._colors, out=colors)
+        extended = extended or other._extended
+    return TrafficMatrix(
+        packets,
+        first._labels,
+        colors,
+        extended_colors=extended,
+        meta=first._meta if len(matrices) == 1 else None,
+        _trusted=True,
+    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.core.traffic_matrix import TrafficMatrix
+from repro.core.traffic_matrix import TrafficMatrix, _overlay_sum
 from repro.errors import ShapeError
 from repro.graphs.noise import with_noise
 
@@ -22,10 +22,11 @@ def overlay(matrices: Iterable[TrafficMatrix]) -> TrafficMatrix:
 
     Packet counts add; colours keep the highest-priority code per cell
     (red > blue > grey), so adversarial annotation survives composition.
-    The sum is dense, one vectorized add per layer: a
-    :class:`~repro.core.TrafficMatrix` is already a dense n×n grid, so a
-    sparse detour would pay an O(n²) conversion before doing any work.
-    Always returns a new matrix.
+    The sum is dense, one in-place vectorized add per layer into a copy of
+    the first: a :class:`~repro.core.TrafficMatrix` is already a dense n×n
+    grid, so a sparse detour would pay an O(n²) conversion before doing any
+    work.  The result equals a left fold of ``+``.  Always returns a new
+    matrix.
     """
     matrices = list(matrices)
     if not matrices:
@@ -33,10 +34,7 @@ def overlay(matrices: Iterable[TrafficMatrix]) -> TrafficMatrix:
             "overlay() received an empty collection; it needs at least one "
             "TrafficMatrix to combine"
         )
-    total = matrices[0].copy()
-    for m in matrices[1:]:
-        total = total + m
-    return total
+    return _overlay_sum(matrices)
 
 
 def sequence(

@@ -4,7 +4,8 @@ The registry is the cheap half of :mod:`repro.obs`: every hot path in the
 runtime, the blocked kernels, the shm plane, and the scenario service counts
 through it unconditionally — one dict lookup plus one locked integer add per
 event, no sampling, no configuration.  The expensive half (the span tracer in
-:mod:`repro.obs.trace`) is opt-in; the registry is not.
+:mod:`repro.obs.trace`) is opt-in; the registry is not.  Looking up a
+metric that already exists takes no lock.
 
 Three metric kinds, all thread-safe:
 
@@ -238,6 +239,13 @@ class MetricsRegistry:
         self._metrics: dict[str, Metric] = {}
 
     def _get_or_create(self, name: str, kind: type) -> Metric:
+        # Lock-free fast path: a dict read is atomic under the GIL, and a
+        # metric is never replaced once registered (``reset`` only drops
+        # them).  Creation, kind mismatches and bad names take the lock.
+        if type(name) is str:
+            metric = self._metrics.get(name)
+            if type(metric) is kind:
+                return metric
         if not name or not isinstance(name, str):
             raise ObservabilityError(f"metric names are non-empty strings, got {name!r}")
         with self._lock:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import atexit
+import contextvars
 import threading
 from concurrent.futures import (
     BrokenExecutor,
@@ -39,7 +40,13 @@ from repro.errors import RuntimeConfigError, WorkerCrashError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.runtime import shm
-from repro.runtime.config import RuntimeConfig, get_config, in_serial_region, serial_region
+from repro.runtime.config import (
+    RuntimeConfig,
+    get_config,
+    in_serial_region,
+    runs_inline,
+    serial_region,
+)
 
 __all__ = [
     "SerialExecutor",
@@ -415,29 +422,46 @@ async def async_submit(
     config: RuntimeConfig | None = None,
     *,
     label: str = "",
+    work: int | None = None,
 ) -> R:
-    """Run one task on the configured executor without blocking the event loop.
+    """Run one task on the configured executor, on or off the event loop.
 
-    This is the asyncio bridge the scenario service builds on: thread and
-    process configs reuse the same cached pools as :func:`parallel_map`
-    (``loop.run_in_executor`` accepts a ``concurrent.futures`` pool directly),
-    while a serial config runs the task on a transient thread so a blocking
-    build never stalls the loop.  That hop is ``asyncio.to_thread``, which
-    copies the caller's :mod:`contextvars` into the task (``run_in_executor``
-    would not).  The task runs inside
-    :func:`~repro.runtime.config.serial_region` either way — nested
-    parallelism stays structurally impossible.
+    This is the asyncio bridge the scenario service builds on.  One gate,
+    :func:`~repro.runtime.config.runs_inline`, picks the route from the
+    config and the task's declared *work*:
+
+    * **inline** — a serial config and ``work <= INLINE_MAX_WORK``: the task
+      runs on the loop's own thread, in a copy of the caller's
+      :mod:`contextvars`.  A build that small finishes sooner than a thread
+      hand-off would, so the hop is pure overhead.
+    * **hop** — everything else, including every call without *work*.  Thread
+      and process configs reuse the same cached pools as
+      :func:`parallel_map` (``loop.run_in_executor`` accepts a
+      ``concurrent.futures`` pool directly), while a serial config runs the
+      task on a transient thread through ``asyncio.to_thread``, which copies
+      the caller's :mod:`contextvars` into the task (``run_in_executor``
+      would not).
+
+    Both routes run the same :func:`_run_task` inside
+    :func:`~repro.runtime.config.serial_region` — nested parallelism stays
+    structurally impossible — count ``runtime.async_submits`` and open one
+    ``runtime.async_submit`` span that the task's spans nest under.
 
     A worker death surfaces as :class:`~repro.errors.WorkerCrashError` naming
     *label*, and the broken pool is evicted so later submissions get a fresh
     one — same contract as :func:`parallel_map`.
     """
-    executor = get_executor(config)
+    cfg = get_config() if config is None else config
+    executor = get_executor(cfg)
     _metrics.counter("runtime.async_submits").inc()
     tracer = _trace.get_tracer()
     traced = tracer.enabled
     with tracer.span("runtime.async_submit", label=label, backend=executor.name) as span:
-        if isinstance(executor, PoolExecutor):
+        if runs_inline(work, cfg):
+            value, records = contextvars.copy_context().run(
+                _run_task, fn, item, traced, label, 0
+            )
+        elif isinstance(executor, PoolExecutor):
             loop = asyncio.get_running_loop()
             try:
                 value, records = await loop.run_in_executor(

@@ -11,8 +11,12 @@ generate_batch` fan-out to a resident front end for scenario traffic:
 * **Bounded execution.**  A fixed pool of worker tasks (``concurrency``)
   drains the queue; each build runs under the process-wide
   :func:`repro.runtime.configure` setting through
-  :func:`repro.runtime.executor.async_submit`, so the event loop never
-  blocks on NumPy.
+  :func:`repro.runtime.executor.async_submit`.  A small build on a serial
+  config (``n² × layers`` within
+  :data:`repro.runtime.config.INLINE_MAX_WORK`, well under a millisecond)
+  runs on the event loop itself, because the thread hand-off would cost more
+  than the build; larger builds and every pool config leave the loop, so the
+  loop never blocks on a heavy NumPy build.
 * **Content-addressed caching.**  Every build routes through a
   :class:`~repro.scenarios.ScenarioCache` keyed by ``spec.cache_key()``;
   repeated traffic is served bit-identically from memory, ``warm()``
@@ -90,6 +94,15 @@ def _build_indexed(item: "tuple[int, ScenarioSpec]") -> "TrafficMatrix":
         raise ScenarioError(
             f"spec {index} ({spec.base!r}) failed to build: {exc}"
         ) from exc
+
+
+def _build_work(spec: ScenarioSpec) -> int:
+    """A build's cost for the inline gate: ``n²`` cells per dense layer.
+
+    The base, each overlay and the noise pass each touch every cell once.
+    """
+    n = int(spec.n)
+    return n * n * (1 + len(spec.overlays) + (spec.noise is not None))
 
 
 def _validate_batch(specs: Iterable[ScenarioSpec], what: str) -> list[ScenarioSpec]:
@@ -418,6 +431,7 @@ class ScenarioService:
                         _build_indexed,
                         (index, spec),
                         label=f"spec {index} ({spec.base!r})",
+                        work=_build_work(spec),
                     )
                 except Exception as exc:  # build failure -> the spec's future
                     self._count("specs_failed")

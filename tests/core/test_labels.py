@@ -1,5 +1,6 @@
 """Axis-label validation and the shipped template label sets."""
 
+import numpy as np
 import pytest
 
 from repro.core.labels import (
@@ -9,6 +10,7 @@ from repro.core.labels import (
     default_labels,
     label_indices,
     normalize_label,
+    _validate_str_axis,
     validate_labels,
 )
 from repro.errors import LabelError
@@ -52,6 +54,46 @@ class TestValidateLabels:
 
     def test_underscore_and_dash_allowed(self):
         assert validate_labels(["A_B", "A-B"]) == ("A_B", "A-B")
+
+
+class TestValidateLabelsMemo:
+    """A tuple or list of exact ``str`` is validated once, then memoised."""
+
+    def test_bad_axis_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(LabelError, match="duplicate"):
+                validate_labels(("WS1", "ws1"))
+            with pytest.raises(LabelError, match="does not match"):
+                validate_labels(["WS1", "WS2"], size=3)
+
+    def test_list_and_tuple_inputs_agree_and_share_the_memo(self):
+        axis = ("WS1", "SRV1", "EXT1", "ADV1")
+        first = validate_labels(axis, size=4)
+        hits = _validate_str_axis.cache_info().hits
+        assert validate_labels(list(axis), size=4) == first == axis
+        assert _validate_str_axis.cache_info().hits == hits + 1
+
+    def test_lowercase_input_comes_back_normalised_every_time(self):
+        for _ in range(2):
+            assert validate_labels(("ws1", " adv1")) == ("WS1", "ADV1")
+            assert validate_labels(["ws1", " adv1"]) == ("WS1", "ADV1")
+
+    def test_str_subclasses_take_the_uncached_path(self):
+        class Alias(str):
+            def __str__(self):
+                return "ALT"
+
+        assert validate_labels(("ws1",)) == ("WS1",)  # memoised, equal key
+        before = _validate_str_axis.cache_info()
+        assert validate_labels((Alias("ws1"),)) == ("ALT",)
+        assert validate_labels([np.str_("ws1")]) == ("WS1",)
+        assert _validate_str_axis.cache_info() == before
+
+    def test_memo_stays_bounded(self):
+        for n in range(1, 200):
+            validate_labels(tuple(f"N{k}" for k in range(1, n + 1)), size=n)
+        info = _validate_str_axis.cache_info()
+        assert info.currsize <= info.maxsize == 64
 
 
 class TestDefaultLabels:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.spaces import NetworkSpace
 from repro.core.traffic_matrix import TrafficMatrix
-from repro.errors import ShapeError
+from repro.errors import LabelError, ShapeError, TrafficMatrixError
 from repro.graphs import attack
 from repro.graphs.compose import challenge, overlay, sequence
 from repro.graphs.noise import background_noise, with_noise
@@ -87,6 +87,55 @@ class TestOverlay:
         b = TrafficMatrix([[2]], labels=["A"])
         overlay([a, b])
         assert a[0, 0] == 1
+
+
+    def test_equals_the_layerwise_sum_and_colour_max(self):
+        rng = np.random.default_rng(7)
+        labels = attack.planning(10).labels
+        layers = [
+            TrafficMatrix(
+                rng.integers(0, 5, (10, 10)),
+                labels,
+                rng.integers(0, 3, (10, 10)),
+            )
+            for _ in range(4)
+        ]
+        layers[2] = TrafficMatrix(
+            layers[2].packets, labels, rng.integers(0, 5, (10, 10)), extended_colors=True
+        )
+        combined = overlay(layers)
+        assert combined.labels == labels
+        assert combined.extended_colors
+        assert np.array_equal(combined.packets, sum(m.packets for m in layers))
+        assert np.array_equal(
+            combined.colors, np.maximum.reduce([m.colors for m in layers])
+        )
+        assert combined.colors.dtype == np.int8 and combined.packets.dtype == np.int64
+        assert combined == layers[0] + layers[1] + layers[2] + layers[3]
+
+    def test_meta_follows_the_fold(self):
+        a = TrafficMatrix([[1]], labels=["A"], meta={"scenario": "a"})
+        b = TrafficMatrix([[2]], labels=["A"], meta={"scenario": "b"})
+        assert overlay([a]).meta == {"scenario": "a"}
+        assert overlay([a]) is not a
+        assert overlay([a, b]).meta == {} == (a + b).meta
+
+    def test_overflow_is_caught_at_the_layer_it_happens(self):
+        """Five layers whose int64 sum wraps negative and back to positive:
+        a check only at the end would pass it."""
+        big = TrafficMatrix([[2**62]], labels=["A"])
+        layers = [big, big, big, big, TrafficMatrix([[1]], labels=["A"])]
+        with pytest.raises(TrafficMatrixError, match="negative"):
+            overlay(layers)
+        with pytest.raises(TrafficMatrixError, match="negative"):
+            big + big
+
+    def test_incompatible_layer_rejected(self):
+        a = TrafficMatrix([[1]], labels=["A"])
+        with pytest.raises(LabelError):
+            overlay([a, TrafficMatrix([[1]], labels=["B"])])
+        with pytest.raises(ShapeError):
+            overlay([a, TrafficMatrix([[1, 0], [0, 0]])])
 
 
 class TestSequence:

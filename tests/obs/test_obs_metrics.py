@@ -81,6 +81,58 @@ class TestRegistry:
         with pytest.raises(ObservabilityError):
             obs.counter(None)  # type: ignore[arg-type]
 
+    def test_kind_mismatch_raises_on_every_lookup(self):
+        gauge = obs.gauge("t.kind2")
+        for _ in range(3):
+            assert obs.gauge("t.kind2") is gauge
+            with pytest.raises(ObservabilityError, match="is a Gauge"):
+                obs.counter("t.kind2")
+
+    @pytest.mark.parametrize("name", ["", None, []], ids=["empty", "none", "list"])
+    def test_bad_name_kinds_raise_observability_error(self, name):
+        registry = obs.MetricsRegistry()
+        for make in (registry.counter, registry.gauge, registry.histogram):
+            with pytest.raises(ObservabilityError, match="non-empty strings"):
+                make(name)  # type: ignore[arg-type]
+
+    def test_reset_then_lookup_gives_a_fresh_metric(self):
+        old = obs.counter("t.fresh")
+        old.inc(5)
+        obs.reset_metrics()
+        new = obs.counter("t.fresh")
+        assert new is not old and new.value == 0
+        assert obs.counter("t.fresh") is new
+
+    def test_threads_asking_for_one_name_get_one_object(self):
+        import sys
+        import threading
+
+        registry = obs.MetricsRegistry()
+        barrier = threading.Barrier(8)
+        seen: list[list[obs.Counter]] = [[] for _ in range(8)]
+
+        def ask(k):
+            barrier.wait(timeout=10)
+            for _ in range(200):
+                counter = registry.counter("t.race")
+                counter.inc()
+                seen[k].append(counter)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        first = seen[0][0]
+        assert all(metric is first for per_thread in seen for metric in per_thread)
+        assert sum(map(len, seen)) == 1600 and first.value == 1600
+
     def test_snapshot_groups_and_is_json_able(self):
         obs.counter("t.c").inc(3)
         obs.gauge("t.g").set(1.5)

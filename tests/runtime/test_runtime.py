@@ -12,7 +12,8 @@ import repro
 
 from repro import runtime
 from repro.errors import RuntimeConfigError, WorkerCrashError
-from repro.runtime.config import blocked_config
+from repro.runtime import config as runtime_config
+from repro.runtime.config import blocked_config, runs_inline
 from repro.runtime.executor import MIN_NNZ_PER_BLOCK, SerialExecutor
 
 
@@ -168,6 +169,108 @@ class TestExecutors:
 
         assert runtime.get_executor().name == "serial"
         assert asyncio.run(main()) == "op-7"
+
+
+def _loop_thread_and_task_thread(**submit_kwargs):
+    """``(loop thread id, task thread id)`` for one ``async_submit`` call."""
+    import asyncio
+    import threading
+
+    async def main():
+        task_thread = await runtime.async_submit(
+            lambda _: threading.get_ident(), None, **submit_kwargs
+        )
+        return threading.get_ident(), task_thread
+
+    return asyncio.run(main())
+
+
+class TestInlineGate:
+    """``async_submit`` runs a small serial task on the loop thread; the gate
+    (``runs_inline``) sends everything else through the hop."""
+
+    def test_gate_says_inline_only_for_declared_small_serial_work(self):
+        limit = runtime_config.INLINE_MAX_WORK
+        assert runs_inline(1) and runs_inline(limit)
+        assert not runs_inline(limit + 1)
+        assert not runs_inline(None)
+        pool = runtime.RuntimeConfig(workers=2, backend="thread")
+        assert not runs_inline(1, pool)
+        runtime.configure(workers=2, backend="thread")
+        assert not runs_inline(1)
+        assert runs_inline(1, runtime.RuntimeConfig())
+
+    def test_small_task_runs_on_the_loop_thread(self):
+        loop_thread, task_thread = _loop_thread_and_task_thread(work=1)
+        assert task_thread == loop_thread
+
+    def test_task_above_the_gate_hops(self):
+        limit = runtime_config.INLINE_MAX_WORK
+        loop_thread, task_thread = _loop_thread_and_task_thread(work=limit + 1)
+        assert task_thread != loop_thread
+
+    def test_undeclared_work_hops(self):
+        loop_thread, task_thread = _loop_thread_and_task_thread()
+        assert task_thread != loop_thread
+
+    def test_pool_config_hops(self):
+        runtime.configure(workers=2, backend="thread")
+        loop_thread, task_thread = _loop_thread_and_task_thread(work=1)
+        assert task_thread != loop_thread
+
+    @pytest.mark.parametrize("work", [1, None], ids=["inline", "hop"])
+    def test_task_sees_caller_contextvars_and_cannot_leak_into_them(self, work):
+        import asyncio
+        import contextvars
+
+        probe: contextvars.ContextVar[str | None] = contextvars.ContextVar(
+            "probe", default=None
+        )
+
+        def task(_):
+            seen = probe.get()
+            probe.set("written by the task")
+            return seen
+
+        async def main():
+            probe.set("op-7")
+            seen = await runtime.async_submit(task, None, work=work)
+            return seen, probe.get()
+
+        assert asyncio.run(main()) == ("op-7", "op-7")
+
+    @pytest.mark.parametrize("work", [1, None], ids=["inline", "hop"])
+    def test_both_routes_count_and_nest_task_spans(self, work):
+        import asyncio
+
+        from repro.obs import metrics as obs_metrics
+        from repro.obs import trace as obs_trace
+
+        def task(x):
+            with obs_trace.get_tracer().span("probe.build"):
+                return x + 1
+
+        before = obs_metrics.counter("runtime.async_submits").value
+        runtime.configure(tracing=True)
+        obs_trace.get_tracer().drain()
+        assert asyncio.run(runtime.async_submit(task, 1, label="probe", work=work)) == 2
+        records = {rec.name: rec for rec in obs_trace.get_tracer().drain()}
+        assert obs_metrics.counter("runtime.async_submits").value == before + 1
+        submit = records["runtime.async_submit"]
+        assert records["runtime.task"].parent_id == submit.span_id
+        assert records["probe.build"].parent_id == records["runtime.task"].span_id
+
+    @pytest.mark.parametrize("work", [1, None], ids=["inline", "hop"])
+    def test_task_error_propagates_and_task_runs_in_serial_region(self, work):
+        import asyncio
+
+        def task(_):
+            assert runtime.in_serial_region()
+            raise ValueError("build failed")
+
+        with pytest.raises(ValueError, match="build failed"):
+            asyncio.run(runtime.async_submit(task, None, work=work))
+        assert not runtime.in_serial_region()
 
 
 class TestPoolInvalidation:

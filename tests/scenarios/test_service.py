@@ -12,12 +12,14 @@ import pytest
 from repro import runtime
 from repro.errors import ScenarioError, ScenarioServiceError
 from repro.scenarios import (
+    NoiseSpec,
     ScenarioCache,
     ScenarioService,
     ScenarioSpec,
     extend_spec,
     generate_batch,
 )
+from repro.runtime import config as runtime_config
 from repro.scenarios import service as service_mod
 
 
@@ -100,6 +102,49 @@ class TestResults:
         assert all(name.startswith("repro-runtime") for name in build_threads), (
             f"builds must run on the runtime's thread pool: {build_threads}"
         )
+
+    def test_small_builds_run_on_the_loop_and_large_builds_leave_it(self, monkeypatch):
+        small = ScenarioSpec(base="ring", n=12, seed=1)
+        noisy = ScenarioSpec(base="ring", n=12, seed=2, noise=NoiseSpec(density=0.2))
+        large = ScenarioSpec(base="ring", n=80, seed=3)  # 6400 > INLINE_MAX_WORK
+        assert service_mod._build_work(small) == 144
+        assert service_mod._build_work(noisy) == 288
+        assert service_mod._build_work(large) > runtime_config.INLINE_MAX_WORK
+        reference = generate_batch([small, noisy, large])
+        build_threads: dict[int, int] = {}
+        build = service_mod._build_indexed
+
+        def recording_build(item):
+            build_threads[item[1].seed] = threading.get_ident()
+            return build(item)
+
+        monkeypatch.setattr(service_mod, "_build_indexed", recording_build)
+
+        async def main():
+            async with ScenarioService(concurrency=2) as service:
+                results = await service.generate([small, noisy, large])
+            return threading.get_ident(), results
+
+        loop_thread, results = asyncio.run(main())
+        assert results == reference
+        assert build_threads[1] == build_threads[2] == loop_thread
+        assert build_threads[3] != loop_thread
+
+    @pytest.mark.parametrize("gate", [4096, 0], ids=["inline", "hop"])
+    def test_build_failure_reaches_the_spec_future_on_both_routes(self, monkeypatch, gate):
+        monkeypatch.setattr(runtime_config, "INLINE_MAX_WORK", gate)
+        bad = ScenarioSpec(base="mesh", n=6, params={"dims": [2, 2]}, seed=2)
+
+        async def main():
+            async with ScenarioService() as service:
+                handle = await service.submit([bad] + specs_of(1))
+                return await handle.results(return_exceptions=True), service.stats()
+
+        results, stats = asyncio.run(main())
+        assert isinstance(results[0], ScenarioError)
+        assert "spec 0 ('mesh') failed to build" in str(results[0])
+        assert results[1:] == generate_batch(specs_of(1))
+        assert stats["specs_failed"] == 1 and stats["specs_completed"] == 1
 
     def test_handle_await_is_results_shorthand(self):
         specs = specs_of(3)
@@ -218,12 +263,21 @@ class _GatedBuild:
         return spec.build()
 
 
+def _park_builds(monkeypatch) -> _GatedBuild:
+    """Swap in a :class:`_GatedBuild` and force every build off the loop.
+
+    Test specs are small enough to build inline on the event loop, but a
+    build parked there could never be released by the loop it blocks.
+    """
+    gate = _GatedBuild()
+    monkeypatch.setattr(service_mod, "_build_indexed", gate)
+    monkeypatch.setattr(runtime_config, "INLINE_MAX_WORK", 0)
+    return gate
+
+
 class TestBackpressure:
     def test_queue_full_nowait_raises_and_wait_waits(self, monkeypatch):
-        from repro.scenarios import service as service_mod
-
-        gate = _GatedBuild()
-        monkeypatch.setattr(service_mod, "_build_indexed", gate)
+        gate = _park_builds(monkeypatch)
         specs = specs_of(4)
 
         async def main():
@@ -250,10 +304,7 @@ class TestBackpressure:
 
 class TestCancellation:
     def test_cancel_skips_queued_builds(self, monkeypatch):
-        from repro.scenarios import service as service_mod
-
-        gate = _GatedBuild()
-        monkeypatch.setattr(service_mod, "_build_indexed", gate)
+        gate = _park_builds(monkeypatch)
         specs = specs_of(5)
 
         async def main():
@@ -275,10 +326,7 @@ class TestCancellation:
 
     def test_no_progress_after_cancel_observed(self, monkeypatch):
         """on_progress must never fire for tasks completing after cancel()."""
-        from repro.scenarios import service as service_mod
-
-        gate = _GatedBuild()
-        monkeypatch.setattr(service_mod, "_build_indexed", gate)
+        gate = _park_builds(monkeypatch)
         progress: list[tuple[int, int]] = []
 
         async def main():
@@ -299,10 +347,7 @@ class TestCancellation:
     def test_cancel_during_final_task_does_not_deadlock_await(self, monkeypatch):
         """cancel() while the last task is in flight — with a hook that would
         raise if it fired — must still let ``await handle`` resolve."""
-        from repro.scenarios import service as service_mod
-
-        gate = _GatedBuild()
-        monkeypatch.setattr(service_mod, "_build_indexed", gate)
+        gate = _park_builds(monkeypatch)
 
         def hostile_hook(done, total):
             raise RuntimeError("hook fired after cancellation")
