@@ -38,7 +38,9 @@ def anonymize_matrix(matrix: TrafficMatrix, *, key: str = "") -> TrafficMatrix:
     every pattern signature the modules teach — are preserved exactly.
     """
     new_labels = [anonymize_label(lb, key=key) for lb in matrix.labels]
-    return TrafficMatrix(matrix.packets.copy(), new_labels, matrix.colors.copy())
+    return TrafficMatrix(
+        matrix.packets, new_labels, matrix.colors, extended_colors=matrix.extended_colors
+    )
 
 
 def anonymize_assoc(array: AssociativeArray, *, key: str = "") -> AssociativeArray:

@@ -156,7 +156,9 @@ class SpaceMap:
         marks *defended* adversary→blue paths; generators that need the exact
         template colouring build it explicitly.)
 
-        The grid is computed once per map; each call returns a fresh copy.
+        The grid is computed once per map and returned read-only: an
+        immutable value, shared by every matrix coloured from this map and
+        never copied.
         """
         if self._grid is None:
             n = len(self)
@@ -166,8 +168,9 @@ class SpaceMap:
             grid[np.ix_(is_blue, is_blue)] = int(PalletColor.BLUE)
             grid[is_red, :] = int(PalletColor.RED)
             grid[:, is_red] = int(PalletColor.RED)
+            grid.flags.writeable = False
             object.__setattr__(self, "_grid", grid)
-        return self._grid.copy()
+        return self._grid
 
     def pair_space(self, i: int, j: int) -> tuple[NetworkSpace, NetworkSpace]:
         """(source space, destination space) of cell ``(i, j)``."""

@@ -11,6 +11,7 @@ warehouse floor whether or not it holds packets.  Large analytic matrices use
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from repro.core.colors import PalletColor, validate_color_grid
 from repro.core.labels import default_labels, validate_labels
 from repro.core.spaces import NetworkSpace, SpaceMap
-from repro.errors import ColorError, LabelError, ShapeError, TrafficMatrixError
+from repro.errors import LabelError, ShapeError, TrafficMatrixError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     import networkx as nx
@@ -64,11 +65,15 @@ class TrafficMatrix:
         Optional ``n × n`` grid of colour codes (0 grey, 1 blue, 2 red).
         Defaults to all grey — the uncoloured state pallets start in.
 
+    A matrix is an **immutable value, shared, never copied**: both grids are
+    read-only from construction on, and *meta* is deep-copied on the way in
+    and on the way out.
+
     Packets, labels and colours are validated where they enter — this
     constructor, :meth:`from_edges`, :meth:`from_json_fields` and
     :meth:`with_colors`.  Matrices derived from validated ones
-    (``_trusted=True``) take an ``int64`` packet grid, canonical labels and
-    an ``int8`` colour grid that they own, as given.
+    (``_trusted=True``) take an ``int64`` packet grid, canonical labels, an
+    ``int8`` colour grid and a *meta* dict that they own, as given.
     """
 
     __slots__ = ("_packets", "_labels", "_colors", "_space_map", "_extended", "_meta")
@@ -85,12 +90,15 @@ class TrafficMatrix:
     ) -> None:
         self._extended = bool(extended_colors)
         self._space_map: SpaceMap | None = None
-        self._meta: dict = dict(meta) if meta else {}
         if _trusted:
+            packets.flags.writeable = False
+            colors.flags.writeable = False
             self._packets = packets
             self._labels = labels
             self._colors = colors
+            self._meta: dict = meta if meta is not None else {}
             return
+        self._meta = copy.deepcopy(meta) if meta else {}
         arr = np.asarray(packets)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"traffic matrix must be square 2-D, got shape {arr.shape}")
@@ -99,17 +107,23 @@ class TrafficMatrix:
                 raise TrafficMatrixError("packet counts must be integers")
         arr = _non_negative(arr.astype(np.int64, copy=True))
         n = arr.shape[0]
-        self._packets = arr
         self._labels = validate_labels(labels, size=n) if labels is not None else default_labels(n)
         if colors is None:
-            self._colors = np.zeros((n, n), dtype=np.int8)
+            grid = np.zeros((n, n), dtype=np.int8)
         else:
             grid = validate_color_grid(np.asarray(colors), extended=self._extended)
             if grid.shape != (n, n):
                 raise ShapeError(
                     f"colour grid shape {grid.shape} does not match matrix shape {(n, n)}"
                 )
-            self._colors = grid
+        arr.flags.writeable = False
+        grid.flags.writeable = False
+        self._packets = arr
+        self._colors = grid
+
+    def __reduce__(self) -> tuple:
+        # protocol 4 (the process pools' default) unpickles arrays writeable
+        return _restore, (self._packets, self._labels, self._colors, self._extended, self._meta)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -178,17 +192,13 @@ class TrafficMatrix:
 
     @property
     def packets(self) -> np.ndarray:
-        """Read-only view of the packet-count grid."""
-        view = self._packets.view()
-        view.flags.writeable = False
-        return view
+        """The read-only packet-count grid."""
+        return self._packets
 
     @property
     def colors(self) -> np.ndarray:
-        """Read-only view of the colour-code grid."""
-        view = self._colors.view()
-        view.flags.writeable = False
-        return view
+        """The read-only colour-code grid."""
+        return self._colors
 
     @property
     def extended_colors(self) -> bool:
@@ -210,14 +220,24 @@ class TrafficMatrix:
         value: ``__eq__`` ignores it, and derived matrices (sums, transposes)
         do not inherit it.  The scenario API stores the originating
         :class:`~repro.scenarios.ScenarioSpec` document under ``"scenario"``.
+        Each read returns a deep copy.
         """
-        return dict(self._meta)
+        return copy.deepcopy(self._meta)
 
     def with_meta(self, **fields: object) -> "TrafficMatrix":
-        """Copy of this matrix with *fields* merged into its metadata."""
-        out = self.copy()
-        out._meta.update(fields)
-        return out
+        """This matrix's grids with *fields* merged into its metadata."""
+        return self._with_own_meta(copy.deepcopy(fields))
+
+    def _with_own_meta(self, fields: dict) -> "TrafficMatrix":
+        """:meth:`with_meta` for *fields* the caller made and hands over."""
+        return TrafficMatrix(
+            self._packets,
+            self._labels,
+            self._colors,
+            extended_colors=self._extended,
+            meta={**self._meta, **fields},
+            _trusted=True,
+        )
 
     # ------------------------------------------------------------------ #
     # element access
@@ -238,33 +258,9 @@ class TrafficMatrix:
         src, dst = key
         return int(self._packets[self._axis_index(src), self._axis_index(dst)])
 
-    def __setitem__(self, key: tuple[str | int, str | int], value: int) -> None:
-        if int(value) < 0:
-            raise TrafficMatrixError(f"packet count must be non-negative, got {value}")
-        src, dst = key
-        self._packets[self._axis_index(src), self._axis_index(dst)] = int(value)
-
-    def add_packets(self, src: str | int, dst: str | int, count: int = 1) -> None:
-        """Accumulate *count* packets on the ``src → dst`` cell."""
-        i, j = self._axis_index(src), self._axis_index(dst)
-        new = self._packets[i, j] + int(count)
-        if new < 0:
-            raise TrafficMatrixError(
-                f"removing {-int(count)} packets from cell ({i}, {j}) holding "
-                f"{int(self._packets[i, j])} would go negative"
-            )
-        self._packets[i, j] = new
-
     def color_of(self, src: str | int, dst: str | int) -> PalletColor:
         """Colour code of one cell (unknown codes already rejected at build)."""
         return PalletColor(int(self._colors[self._axis_index(src), self._axis_index(dst)]))
-
-    def set_color(self, src: str | int, dst: str | int, color: int | PalletColor) -> None:
-        code = int(color)
-        allowed = (0, 1, 2, 3, 4) if self._extended else (0, 1, 2)
-        if code not in allowed:
-            raise ColorError(f"invalid colour code {code}; allowed: {allowed}")
-        self._colors[self._axis_index(src), self._axis_index(dst)] = code
 
     # ------------------------------------------------------------------ #
     # derived views and statistics
@@ -370,7 +366,7 @@ class TrafficMatrix:
         return TrafficMatrix(
             _non_negative(self._packets * k),
             self._labels,
-            self._colors.copy(),
+            self._colors,
             extended_colors=self._extended,
             _trusted=True,
         )
@@ -380,9 +376,9 @@ class TrafficMatrix:
     def transpose(self) -> "TrafficMatrix":
         """Reverse every flow: the DDoS *backscatter* of an attack pattern."""
         return TrafficMatrix(
-            self._packets.T.copy(),
+            self._packets.T,
             self._labels,
-            self._colors.T.copy(),
+            self._colors.T,
             extended_colors=self._extended,
             _trusted=True,
         )
@@ -442,27 +438,17 @@ class TrafficMatrix:
         *,
         extended_colors: bool | None = None,
     ) -> "TrafficMatrix":
-        """Copy of this matrix with a replacement colour grid."""
+        """This matrix's packets with a replacement colour grid."""
         extended = self._extended if extended_colors is None else extended_colors
-        return TrafficMatrix(self._packets.copy(), self._labels, colors, extended_colors=extended)
+        return TrafficMatrix(self._packets, self._labels, colors, extended_colors=extended)
 
     def with_space_colors(self) -> "TrafficMatrix":
-        """Copy coloured by the default space convention (see ``SpaceMap.color_grid``)."""
+        """This matrix coloured by the default space convention (see ``SpaceMap.color_grid``)."""
         return TrafficMatrix(
-            self._packets.copy(),
+            self._packets,
             self._labels,
             self.space_map.color_grid(),
             extended_colors=self._extended,
-            _trusted=True,
-        )
-
-    def copy(self) -> "TrafficMatrix":
-        return TrafficMatrix(
-            self._packets.copy(),
-            self._labels,
-            self._colors.copy(),
-            extended_colors=self._extended,
-            meta=self._meta,
             _trusted=True,
         )
 
@@ -586,7 +572,7 @@ class TrafficMatrix:
             and np.array_equal(self._colors, other._colors)
         )
 
-    def __hash__(self) -> int:  # matrices are mutable; identity hash like ndarray
+    def __hash__(self) -> int:  # equality ignores meta; identity hash like ndarray
         return id(self)
 
     def __repr__(self) -> str:
@@ -617,6 +603,13 @@ class TrafficMatrix:
                 cells.append(cell.rjust(width))
             lines.append(lb.rjust(width) + " " + " ".join(cells))
         return "\n".join(lines)
+
+
+def _restore(
+    packets: np.ndarray, labels: tuple[str, ...], colors: np.ndarray, extended: bool, meta: dict
+) -> TrafficMatrix:
+    """Unpickle through the trusted constructor, which freezes the grids."""
+    return TrafficMatrix(packets, labels, colors, extended_colors=extended, meta=meta, _trusted=True)
 
 
 def _overlay_sum(matrices: Sequence[TrafficMatrix]) -> TrafficMatrix:

@@ -130,8 +130,9 @@ class WarehouseLevel:
     :meth:`toggle_pallet_colors` start a new revision themselves; code that
     edits :attr:`root` directly must call :meth:`invalidate` afterwards.
     The 2-D frame (:meth:`render_2d`) shows the module's matrix, not the
-    scene, and a :class:`~repro.core.TrafficMatrix` never changes, so it is
-    drawn once per ``ansi`` flag and never invalidated.
+    scene, and a :class:`~repro.core.TrafficMatrix` is an immutable value
+    (its grids are read-only), so it is drawn once per ``ansi`` flag and
+    never invalidated.
     """
 
     def __init__(self, module: LearningModule, *, tree: SceneTree | None = None) -> None:

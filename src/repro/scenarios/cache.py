@@ -10,18 +10,19 @@ metadata all match.  That contract is what makes the cache safe to put in
 front of every build path, and it is enforced by the ``cache_delta`` oracle in
 :func:`repro.verify.default_oracles`, not assumed.
 
-Entries are stored and served as **copies** — :class:`TrafficMatrix` is
-mutable, and a caller scribbling on a result must never corrupt what the next
-hit receives.  Eviction is plain LRU, bounded by entry count and/or resident
-bytes; both bounds are deterministic, so a replayed workload evicts the same
-keys in the same order on every backend.
+A :class:`TrafficMatrix` is an **immutable value, shared, never copied**: the
+L1 entry, every caller served from it and the store's writer all hold the
+same object, and none of them can change what the next hit receives.
+Eviction is plain LRU, bounded by entry count and/or resident bytes; both
+bounds are deterministic, so a replayed workload evicts the same keys in the
+same order on every backend.
 
 **Tiers.**  With a :class:`~repro.store.ScenarioStore` attached the cache
 becomes a two-level hierarchy: the in-memory LRU is **L1**, the durable store
 is **L2**.  Reads fall through L1 → L2 → build (read-through: an L2 hit is
 promoted back into L1).  The store's in-memory key view answers first, so a
 key the store does not hold costs a set lookup, not a query.  Writes go to
-both, write-behind: ``put`` hands L1's copy to the store's writer thread,
+both, write-behind: ``put`` hands L1's matrix to the store's writer thread,
 which group-commits it, so corpora survive restarts and are shared across
 processes.  A written entry is durable after :meth:`ScenarioCache.flush`
 (or the store's ``flush``/``close``); the synchronous batch path and
@@ -249,7 +250,7 @@ class ScenarioCache:
     def get(
         self, spec: ScenarioSpec, key: str | None = None
     ) -> "TrafficMatrix | None":
-        """The cached matrix for *spec* (a fresh copy), or ``None`` on a miss.
+        """The cached matrix for *spec* (shared, never copied), or ``None``.
 
         Counts one hit or miss and refreshes the entry's LRU position.  With
         a store attached, an L1 miss falls through to L2; an L2 hit counts as
@@ -276,7 +277,7 @@ class ScenarioCache:
                 _obs.counter("scenario.cache.hits").inc()
                 _obs.counter("scenario.cache.hits.l1").inc()
                 _obs.counter(f"scenario.cache.hits.{family}").inc()
-                return entry[1].copy(), "l1"
+                return entry[1], "l1"
         # L1 miss — consult the durable tier outside the lock (disk latency
         # must not serialise concurrent L1 readers), and only for a key its
         # view holds: a cold miss never reaches SQLite.
@@ -300,16 +301,15 @@ class ScenarioCache:
         return None, None
 
     def _promote(self, key: str, family: str, matrix: "TrafficMatrix") -> None:
-        """Copy an L2 hit into L1 (a promotion, not a put — counted apart)."""
+        """Put an L2 hit into L1 (a promotion, not a put — counted apart)."""
         size = matrix_bytes(matrix)
         if self.max_bytes is not None and size > self.max_bytes:
             return  # oversized for memory; it stays served from L2
-        stored = matrix.copy()
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old[2]
-            self._entries[key] = (family, stored, size)
+            self._entries[key] = (family, matrix, size)
             self._bytes += size
             self._promotions += 1
             _obs.counter("scenario.cache.promotions").inc()
@@ -321,11 +321,12 @@ class ScenarioCache:
     ) -> str:
         """Store a built matrix under the spec's content address.
 
-        The cache keeps its own copy (callers may keep mutating theirs), then
-        evicts least-recently-used entries until both bounds hold.  With a
-        store attached that same copy is queued for L2 (write-behind, see
-        the module docstring) — including entries too large for the memory
-        budget, which L1 refuses but the durable tier happily keeps.
+        The cache holds *matrix* itself — an immutable value, shared with the
+        caller, never copied — then evicts least-recently-used entries until
+        both bounds hold.  With a store attached the same object is queued
+        for L2 (write-behind, see the module docstring) — including entries
+        too large for the memory budget, which L1 refuses but the durable
+        tier happily keeps.
         ``key`` is ``spec.cache_key()`` when the caller has already computed
         it.  Returns the cache key.
         """
@@ -333,15 +334,12 @@ class ScenarioCache:
             key = self.key_of(spec)
         size = matrix_bytes(matrix)
         fits = self.max_bytes is None or size <= self.max_bytes
-        # L1's copy doubles as the one the store's writer encodes later;
-        # nothing mutates a cached matrix, so one copy serves both.
-        stored = matrix.copy() if fits or self.store is not None else None
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old[2]
             if fits:
-                self._entries[key] = (self._family_of(spec), stored, size)
+                self._entries[key] = (self._family_of(spec), matrix, size)
                 self._bytes += size
                 self._puts += 1
                 _obs.counter("scenario.cache.puts").inc()
@@ -354,7 +352,7 @@ class ScenarioCache:
                 _obs.counter("scenario.cache.evictions").inc()
             self._sync_gauges()
         if self.store is not None:
-            self.store.put_behind(key, spec, stored)
+            self.store.put_behind(key, spec, matrix)
         return key
 
     def flush(self) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import ScenarioError
 from repro.scenarios.registry import get_generator
-from repro.scenarios.spec import OverlaySpec, ScenarioSpec, _layer_seed
+from repro.scenarios.spec import OverlaySpec, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.traffic_matrix import TrafficMatrix
@@ -178,17 +178,7 @@ def apply_delta(
     for mat in delta_mats:
         touched |= mat.packets.any(axis=1)
 
-    if target.noise is not None:
-        from repro.graphs.noise import with_noise
-
-        matrix = with_noise(
-            matrix,
-            density=target.noise.density,
-            max_packets=target.noise.max_packets,
-            seed=_layer_seed(target.seed, n_base_layers + len(overlays)),
-            preserve_pattern=target.noise.preserve_pattern,
-        )
-    matrix = matrix.with_meta(scenario=target.to_dict())
+    matrix = target._finish(matrix, n_base_layers + len(overlays))
 
     if cache is not None:
         cache.put(target, matrix)

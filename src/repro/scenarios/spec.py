@@ -274,16 +274,21 @@ class ScenarioSpec:
         be traced back to — and rebuilt from — its recipe.
         """
         from repro.graphs.compose import overlay
-        from repro.graphs.noise import with_noise
 
         layers = self.layer_matrices()
-        matrix = layers[0] if len(layers) == 1 else overlay(layers)
+        return self._finish(layers[0] if len(layers) == 1 else overlay(layers), len(layers))
+
+    def _finish(self, matrix: "TrafficMatrix", layer_count: int) -> "TrafficMatrix":
+        """Noise seeded after *layer_count* layers, then provenance: the one
+        last step of :meth:`build` and :func:`repro.scenarios.apply_delta`."""
         if self.noise is not None:
+            from repro.graphs.noise import with_noise
+
             matrix = with_noise(
                 matrix,
                 density=self.noise.density,
                 max_packets=self.noise.max_packets,
-                seed=_layer_seed(self.seed, len(layers)),
+                seed=_layer_seed(self.seed, layer_count),
                 preserve_pattern=self.noise.preserve_pattern,
             )
-        return matrix.with_meta(scenario=self.to_dict())
+        return matrix._with_own_meta({"scenario": self.to_dict()})

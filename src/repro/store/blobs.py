@@ -85,7 +85,7 @@ def encode_matrix(matrix: "TrafficMatrix") -> bytes:
         "n": matrix.n,
         "labels": list(matrix.labels),
         "extended_colors": matrix.extended_colors,
-        "meta": matrix.meta,
+        "meta": matrix._meta,  # json.dumps only reads it: skip the deep copy
         "packets_dtype": packets.dtype.str,
         "colors_dtype": colors.dtype.str,
     }
@@ -168,13 +168,10 @@ def decode_matrix(data: bytes) -> "TrafficMatrix":
     colors = np.frombuffer(
         body, dtype=colors_dtype, count=n * n, offset=offset + packets_bytes
     ).reshape(n, n)
-    return TrafficMatrix(
-        packets,
-        header["labels"],
-        colors,
-        extended_colors=bool(header["extended_colors"]),
-        meta=header.get("meta") or None,
+    matrix = TrafficMatrix(
+        packets, header["labels"], colors, extended_colors=bool(header["extended_colors"])
     )
+    return matrix._with_own_meta(header.get("meta") or {})  # freshly parsed: no deep copy
 
 
 class BlobStore:

@@ -263,8 +263,8 @@ class ScenarioStore:
     ) -> None:
         """Queue one write for the writer thread and return without waiting.
 
-        ``key`` is ``spec.cache_key()``.  The matrix is handed over, not
-        copied: the caller must not mutate it afterwards.  The write is
+        ``key`` is ``spec.cache_key()``.  The matrix is an immutable value,
+        shared with the caller and never copied.  The write is
         durable after the next :meth:`flush` or :meth:`close`; a failure
         the writer meets is counted (``store.writer_errors``) and re-raised
         there.  When :data:`WRITE_QUEUE_DEPTH` writes are already queued,

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.anonymize import anonymize_assoc, anonymize_label, anonymize_matrix
 from repro.analysis.stats import scaling_relation, synthetic_traffic
 from repro.analysis.streaming import StreamAccumulator, window_stream
+from repro.core.traffic_matrix import TrafficMatrix
 from repro.graphs.classify import classify_graph_pattern
 from repro.graphs.patterns import ring
 
@@ -33,6 +34,12 @@ class TestAnonymizeMatrix:
         assert np.array_equal(anon.packets, tpl10.matrix.packets)
         assert np.array_equal(anon.colors, tpl10.matrix.colors)
         assert anon.labels != tpl10.matrix.labels
+
+    def test_extended_palette_survives(self):
+        m = TrafficMatrix([[0, 1], [0, 0]], ["A", "B"], [[3, 4], [0, 0]], extended_colors=True)
+        anon = anonymize_matrix(m)
+        assert anon.extended_colors
+        assert np.array_equal(anon.colors, m.colors)
 
     def test_classification_survives(self):
         anon = anonymize_matrix(ring(10))

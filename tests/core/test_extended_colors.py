@@ -44,20 +44,21 @@ class TestTrafficMatrix:
         m = TrafficMatrix([[0, 0], [0, 0]], ["A", "B"], colors, extended_colors=True)
         assert m.extended_colors
 
-    def test_set_color_gate(self):
+    def test_with_colors_gate(self):
         m = extended_matrix()
-        m.set_color("A", "B", 4)
-        assert int(m.colors[0, 1]) == 4
+        colors = np.array(m.colors)
+        colors[0, 1] = 4
+        assert int(m.with_colors(colors).colors[0, 1]) == 4
         standard = TrafficMatrix.zeros(2, labels=["A", "B"])
         with pytest.raises(ColorError):
-            standard.set_color("A", "B", 3)
+            standard.with_colors([[0, 3], [0, 0]])
 
     def test_flag_propagates_through_algebra(self):
         m = extended_matrix()
         assert (m + m).extended_colors
         assert (m * 2).extended_colors
         assert m.T.extended_colors
-        assert m.copy().extended_colors
+        assert m.with_meta(k=1).extended_colors
         assert m.submatrix(["A", "B"]).extended_colors
 
     def test_to_text_suffixes(self):

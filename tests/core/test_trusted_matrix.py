@@ -4,12 +4,15 @@ Every matrix derived from validated ones skips the label, packet and colour
 checks (``_trusted=True``).  These tests pin that the shortcut changes
 nothing observable: each derivation equals the validated constructor run on
 the same arrays, and every entry point still rejects bad input with the same
-message.
+message.  Every producer, in-process or across a pickle, hands out an
+immutable value: its grids refuse writes.
 """
 
 import hashlib
 import json
+import pickle
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,8 +27,8 @@ from repro.core.traffic_matrix import TrafficMatrix
 from repro.errors import ColorError, LabelError, ShapeError, TrafficMatrixError
 from repro.graphs.compose import overlay
 from repro.graphs.noise import background_noise, with_noise
-from repro.scenarios import OverlaySpec, ScenarioSpec, apply_delta
-from repro.store import decode_matrix, encode_matrix
+from repro.scenarios import OverlaySpec, ScenarioCache, ScenarioSpec, apply_delta, generate_batch
+from repro.store import ScenarioStore, decode_matrix, encode_matrix
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -77,24 +80,20 @@ def assert_same(derived, reference):
     assert derived.extended_colors == reference.extended_colors
     assert derived.meta == reference.meta
     assert derived.packets.dtype == np.int64 and derived.colors.dtype == np.int8
-    assert derived.packets.flags.c_contiguous and derived.colors.flags.c_contiguous
 
 
-def assert_owns_its_grids(derived, *sources):
-    """A derived matrix never shares memory with the matrices it came from."""
-    for src in sources:
-        for mine in (derived._packets, derived._colors):
-            for theirs in (src._packets, src._colors):
-                assert not np.shares_memory(mine, theirs)
+def assert_frozen(m):
+    """Writing either grid of *m* raises: the matrix is an immutable value."""
+    assert isinstance(m, TrafficMatrix)
+    for grid in (m.packets, m.colors):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            grid += 1
 
 
 class TestTrustedDerivations:
-    @given(matrices())
-    def test_copy(self, m):
-        out = m.copy()
-        assert_same(out, validated(m.packets, m.labels, m.colors, extended=m.extended_colors, meta=m.meta))
-        assert_owns_its_grids(out, m)
-
     @given(matrices())
     def test_with_meta(self, m):
         out = m.with_meta(extra=3)
@@ -103,7 +102,6 @@ class TestTrustedDerivations:
         )
         assert_same(out, ref)
         assert "extra" not in m.meta
-        assert_owns_its_grids(out, m)
 
     @given(pairs())
     def test_add(self, pair):
@@ -116,28 +114,27 @@ class TestTrustedDerivations:
             extended=a.extended_colors or b.extended_colors,
         )
         assert_same(out, ref)
-        assert_owns_its_grids(out, a, b)
 
     @given(matrices(), st.integers(0, 5))
     def test_scale(self, m, k):
         out = m * k
         assert_same(out, validated(m.packets * k, m.labels, m.colors, extended=m.extended_colors))
         assert_same(k * m, out)
-        assert_owns_its_grids(out, m)
 
     @given(matrices())
     def test_transpose(self, m):
         out = m.transpose()
         assert_same(out, validated(m.packets.T, m.labels, m.colors.T, extended=m.extended_colors))
         assert_same(m.T, out)
-        assert_owns_its_grids(out, m)
+        # a transpose is a read-only view of its source's grids, not a copy
+        assert np.shares_memory(out.packets, m.packets)
+        assert np.shares_memory(out.colors, m.colors)
 
     @given(matrices())
     def test_with_space_colors(self, m):
         out = m.with_space_colors()
         grid = SpaceMap.infer(m.labels).color_grid()
         assert_same(out, validated(m.packets, m.labels, grid, extended=m.extended_colors))
-        assert_owns_its_grids(out, m)
 
     @given(matrices(), st.data())
     def test_submatrix(self, m, data):
@@ -147,13 +144,12 @@ class TestTrustedDerivations:
         sel = np.ix_(idx, idx)
         ref = validated(m.packets[sel], picked, m.colors[sel], extended=m.extended_colors)
         assert_same(out, ref)
-        assert_owns_its_grids(out, m)
 
     @given(pairs())
     def test_dense_overlay(self, pair):
         a, b = pair
         assert_same(overlay([a, b]), a + b)
-        assert_same(overlay([a]), a.copy())
+        assert_same(overlay([a]), a)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(16, 24), st.integers(0, 2**16))
@@ -170,7 +166,6 @@ class TestTrustedDerivations:
             out = overlay(layers)
         dense = layers[0] + layers[1] + layers[2]
         assert_same(out, validated(dense.packets, dense.labels, dense.colors))
-        assert_owns_its_grids(out, *layers)
 
     @given(matrices(), st.integers(0, 2**16), st.booleans())
     def test_with_noise(self, m, seed, preserve):
@@ -181,7 +176,6 @@ class TestTrustedDerivations:
             packets = np.where(m.packets > 0, 0, packets)
         ref = validated(m.packets + packets, m.labels, m.colors, extended=m.extended_colors)
         assert_same(out, ref)
-        assert_owns_its_grids(out, m)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -198,6 +192,93 @@ class TestTrustedDerivations:
         ref = validated(m.packets, m.labels, m.colors, extended=m.extended_colors, meta=m.meta)
         assert_same(m, ref)
         assert_same(m, full)
+
+
+MATRIX_PRODUCERS = {
+    "constructor": lambda a, b: validated(
+        a.packets, a.labels, a.colors, extended=a.extended_colors, meta=a.meta
+    ),
+    "zeros": lambda a, b: TrafficMatrix.zeros(a.n, a.labels),
+    "identity": lambda a, b: TrafficMatrix.identity(a.n, 2, a.labels),
+    "from_edges": lambda a, b: TrafficMatrix.from_edges(a.iter_edges(), a.labels),
+    "from_json_fields": lambda a, b: TrafficMatrix.from_json_fields(
+        a.packets.tolist(), list(a.labels), b.colors.tolist() if not b.extended_colors else None
+    ),
+    "add": lambda a, b: a + b,
+    "scale": lambda a, b: a * 3,
+    "transpose": lambda a, b: a.transpose(),
+    "submatrix": lambda a, b: a.submatrix(a.labels[::-1]),
+    "with_colors": lambda a, b: a.with_colors(b.colors, extended_colors=b.extended_colors),
+    "with_space_colors": lambda a, b: a.with_space_colors(),
+    "with_meta": lambda a, b: a.with_meta(extra={"k": [1]}),
+    "masked_where": lambda a, b: a.masked_where(b),
+    "compose": lambda a, b: a.compose(b),
+    "overlay": lambda a, b: overlay([a, b]),
+    "overlay_one": lambda a, b: overlay([a]),
+    "with_noise": lambda a, b: with_noise(a, density=0.3, max_packets=3, seed=7),
+    "decode_matrix": lambda a, b: decode_matrix(encode_matrix(a)),
+    "pickle_protocol_4": lambda a, b: pickle.loads(pickle.dumps(a, protocol=4)),
+    "pickle_default": lambda a, b: pickle.loads(pickle.dumps(a)),
+}
+
+
+class TestImmutability:
+    """Every producer hands out a matrix whose grids refuse writes."""
+
+    @given(pairs(), st.sampled_from(sorted(MATRIX_PRODUCERS)))
+    def test_matrix_producers(self, pair, name):
+        a, b = pair
+        out = MATRIX_PRODUCERS[name](a, b)
+        assert_frozen(out)
+        assert_frozen(a)
+        assert_frozen(b)
+
+    @given(matrices())
+    def test_pickle_round_trip_keeps_the_value(self, m):
+        for protocol in (4, pickle.HIGHEST_PROTOCOL):
+            back = pickle.loads(pickle.dumps(m, protocol=protocol))
+            assert_same(back, m)
+            assert_frozen(back)
+
+    def test_matrix_has_no_mutators(self):
+        m = TrafficMatrix.identity(3)
+        for name in ("__setitem__", "add_packets", "set_color", "copy"):
+            assert not hasattr(m, name)
+        with pytest.raises(TypeError):
+            m[0, 1] = 4
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.sampled_from(["ring", "star", "security", "ddos_attack"]),
+        st.integers(6, 12),
+        st.integers(0, 99),
+    )
+    def test_scenario_producers(self, base, n, seed):
+        """Builds, delta rebuilds, store reads and both cache tiers."""
+        spec = ScenarioSpec(base=base, n=n, seed=seed)
+        built = spec.build()
+        assert_frozen(built)
+        assert_frozen(apply_delta(spec, [OverlaySpec(name="clique")]).matrix)
+        with tempfile.TemporaryDirectory() as root:
+            with ScenarioStore(root, fsync=False) as store:
+                writer = ScenarioCache(store=store)
+                writer.put(spec, built)
+                assert writer.get(spec) is built  # an L1 hit is the put object
+                writer.flush()
+                assert_frozen(store.get(spec))
+                reader = ScenarioCache(store=store)
+                promoted, tier = reader.fetch_tiered(spec)
+                assert tier == "l2"
+                assert_frozen(promoted)
+                hit, tier = reader.fetch_tiered(spec)
+                assert (tier, hit is promoted) == ("l1", True)
+
+    def test_process_pool_batch(self):
+        specs = [ScenarioSpec(base=base, n=10, seed=3) for base in ("ring", "star", "security")]
+        out = generate_batch(specs, workers=2, backend="process")
+        for spec, matrix in zip(specs, out):
+            assert_same(matrix, spec.build())
+            assert_frozen(matrix)
 
 
 class TestEntryPointsStillValidate:

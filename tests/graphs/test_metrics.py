@@ -62,8 +62,8 @@ class TestSupernodes:
         assert supernodes(m, min_fan=2) == list(m.labels)
 
     def test_counts_peers_not_packets(self):
-        m = TrafficMatrix.zeros(6)
-        m[0, 1] = 14  # heavy single link is not a supernode
+        labels = TrafficMatrix.zeros(6).labels
+        m = TrafficMatrix.from_edges([(0, 1, 14)], labels)  # heavy single link is not a supernode
         assert supernodes(m) == []
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.traffic_matrix import TrafficMatrix
 from repro.errors import ScenarioError
 from repro.scenarios import (
     CacheAnalytics,
@@ -73,19 +74,56 @@ class TestHitMiss:
         assert hit == built
         assert hit.meta == built.meta
 
-    def test_served_copies_are_isolated(self):
-        """A caller scribbling on a hit must not corrupt the next hit."""
+    def test_served_matrices_are_shared_and_frozen(self):
+        """A hit is the put matrix itself, and no caller can write to it."""
         cache = ScenarioCache()
         spec = spec_of(4)
         built = spec.build()
         cache.put(spec, built)
-        built.add_packets(0, 1, 999_999)  # the caller's own copy, post-put
         first = cache.get(spec)
-        first.add_packets(1, 2, 999_999)
-        first.set_color(1, 2, 2)
+        assert first is built
+        with pytest.raises(ValueError):
+            first.packets[0, 1] = 999_999
+        with pytest.raises(ValueError):
+            first.colors[1, 2] = 2
         second = cache.get(spec)
         assert second == spec.build()
         assert second.meta == spec.build().meta
+
+    def test_nested_meta_never_leaks(self, tmp_path):
+        """Editing a served matrix's provenance reaches neither tier."""
+        from repro.store import ScenarioStore
+
+        spec = spec_of(4)
+        expected = spec.build().meta
+        with ScenarioStore(tmp_path / "store", fsync=False) as store:
+            cache = ScenarioCache(store=store)
+            built = spec.build()
+            cache.put(spec, built)
+            built.meta["scenario"]["n"] = 1
+            hit = cache.get(spec)
+            hit.meta["scenario"]["seed"] = 999
+            meta = hit.meta
+            meta["scenario"]["base"] = "star"
+            meta["extra"] = 1
+            again = cache.get(spec)
+            assert again.meta == expected
+            cache.flush()
+            assert store.get(spec).meta == expected
+            promoted = ScenarioCache(store=store).get(spec)
+            assert promoted.meta == expected
+
+    def test_meta_is_copied_on_the_way_in(self):
+        spec = spec_of(4)
+        provenance = spec.to_dict()
+        tagged = spec.build().with_meta(scenario=provenance)
+        provenance["seed"] = 999
+        assert tagged.meta == spec.build().meta
+        given = {"scenario": spec.to_dict()}
+        built = spec.build()
+        direct = TrafficMatrix(built.packets, built.labels, built.colors, meta=given)
+        given["scenario"]["seed"] = 999
+        assert direct.meta == spec.build().meta
 
     def test_contains_is_counter_neutral(self):
         cache = ScenarioCache()

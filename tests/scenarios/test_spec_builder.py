@@ -74,11 +74,12 @@ class TestProvenance:
         assert rebuilt == matrix
         assert rebuilt.meta == matrix.meta
 
-    def test_meta_survives_copy_but_not_algebra(self):
+    def test_meta_survives_with_meta_but_not_algebra(self):
         matrix = ScenarioSpec(base="ring").build()
-        assert matrix.copy().meta == matrix.meta
+        tagged = matrix.with_meta(note="x")
+        assert tagged.meta == {**matrix.meta, "note": "x"}
         assert (matrix + matrix).meta == {}
-        assert matrix.copy() == matrix  # meta is not part of matrix value
+        assert tagged == matrix  # meta is not part of matrix value
 
 
 class TestJsonRoundTrip:

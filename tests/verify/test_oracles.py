@@ -13,6 +13,7 @@ from fault_fixtures import PERTURBED_SEMIRING, WRONG_SHAPE_INFER
 
 from repro.assoc import planner, sparse
 from repro.assoc.semiring import PLUS_TIMES
+from repro.core.traffic_matrix import TrafficMatrix
 from repro.runtime import backends
 from repro.scenarios import NoiseSpec, OverlaySpec, ScenarioSpec
 from repro.verify import (
@@ -224,8 +225,8 @@ class TestCacheDeltaOracle:
 
         def corrupted(base_spec, delta, **kwargs):
             result = true_apply(base_spec, delta, **kwargs)
-            broken = result.matrix.copy()
-            broken.add_packets(0, 1, 1)  # one stray packet
+            stray = TrafficMatrix.from_edges([(0, 1, 1)], result.matrix.labels)
+            broken = (result.matrix + stray).with_meta(**result.matrix.meta)  # one stray packet
             return type(result)(spec=result.spec, matrix=broken, stats=result.stats)
 
         monkeypatch.setattr(delta_mod, "apply_delta", corrupted)
@@ -242,7 +243,8 @@ class TestCacheDeltaOracle:
         def corrupted(self, spec):
             matrix = true_get(self, spec)
             if matrix is not None:
-                matrix.add_packets(0, 1, 1)
+                stray = TrafficMatrix.from_edges([(0, 1, 1)], matrix.labels)
+                matrix = (matrix + stray).with_meta(**matrix.meta)
             return matrix
 
         monkeypatch.setattr(ScenarioCache, "get", corrupted)
